@@ -27,7 +27,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -306,41 +306,18 @@ def build_tx_table(
         gas = np.concatenate([stat_gas, inj_gas])
         order = np.argsort(times, kind="stable")
         times, origins, gas = times[order], origins[order], gas[order]
-        position = {int(old): new for new, old in enumerate(order)}
+        # Inverse permutation: old index -> arrival index.
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
         injected_map = {
-            position[n_stat + k]: replace(item[2], tx_id=position[n_stat + k])
-            for k, item in enumerate(inj)
+            new: replace(item[2], tx_id=new)
+            for new, item in zip(position[n_stat:].tolist(), inj)
         }
     else:
         times, origins, gas = stat_times, stat_origins, stat_gas
         injected_map = {}
     return TxTable(times=times, origins=origins, gas=gas, size_kb=config.tx_size_kb,
                    injected=injected_map)
-
-
-def generate_tx_arrivals(
-    config: SimConfig, rng: np.random.Generator
-) -> Iterator[tuple[float, Transaction]]:
-    """Poisson arrival stream over [0, sim_duration) as (time, transaction).
-
-    Identical seeds yield identical streams; a zero rate yields nothing.
-    """
-    table = build_tx_table(config, rng)
-    for i in range(table.count):
-        yield float(table.times[i]), table.tx(i)
-
-
-def fill_block(pool: Iterable[Transaction], gas_limit: int) -> list[Transaction]:
-    """Greedy selection in arrival order, stopping at the first transaction
-    that would push the gas sum past ``gas_limit``."""
-    chosen: list[Transaction] = []
-    total = 0
-    for tx in sorted(pool, key=lambda t: t.tx_id):
-        if total + tx.gas > gas_limit:
-            break
-        chosen.append(tx)
-        total += tx.gas
-    return chosen
 
 
 class EventKind(Enum):
@@ -362,13 +339,28 @@ class Event:
         return (self.time, self.sequence) < (other.time, other.sequence)
 
 
+# Ids examined per vectorised step of ``NodeState.fill``.
+FILL_CHUNK = 1024
+
+
 class NodeState:
     """One full node: local tree, fork-choice head, pending pool.
 
-    The pool works on transaction ids: a min-heap of available ids plus the
-    set of ids on the node's current canonical chain. Heap entries are
-    removed lazily; ids the node itself consumed into a block are tracked in
-    ``popped`` so a reorg can push them back.
+    The pool works on transaction ids, which are arrival indices into the
+    shared ``TxTable``, and keeps no per-transaction objects:
+
+    * ``in_chain`` holds one flag per id, set while the id is on the node's
+      canonical chain. Mining a block and reorganising flip it per id.
+    * Delivery is two cut-offs on the sorted arrival times, moved forward by
+      ``catch_up``: every id below ``cut_all`` arrived at least one
+      propagation delay ago and has reached every node; the node's own ids
+      in ``[cut_all, cut_own)`` arrived by now and are delivered too.
+    * ``fill`` takes the delivered ids that are not in the chain, in id
+      (arrival) order, and stops at the first one that does not fit.
+
+    So the pool is delivered minus on-chain by construction: when a reorg
+    abandons a block, its ids return to every node that had them delivered.
+    ``low`` is a low-water mark: every id below it is in the chain.
     """
 
     __slots__ = (
@@ -382,15 +374,11 @@ class NodeState:
         "orphans",
         "epoch",
         "mining_deadline",
-        "heap",
-        "canonical",
-        "popped",
-        "own_ids",
-        "own_times",
-        "foreign_ids",
-        "foreign_times",
-        "own_ptr",
-        "foreign_ptr",
+        "in_chain",
+        "in_chain_view",
+        "cut_all",
+        "cut_own",
+        "low",
     )
 
     def __init__(self, index: int, genesis: Block, table: TxTable):
@@ -404,24 +392,12 @@ class NodeState:
         self.orphans: dict[str, list[Block]] = {}
         self.epoch = 0
         self.mining_deadline = math.inf
-        self.heap: list[int] = []
-        self.canonical: set[int] = set()
-        self.popped: set[int] = set()
-        own_mask = table.origins == index
-        self.own_ids = np.flatnonzero(own_mask).tolist()
-        self.own_times = table.times[own_mask].tolist()
-        self.foreign_ids = np.flatnonzero(~own_mask).tolist()
-        self.foreign_times = table.times[~own_mask].tolist()
-        self.own_ptr = 0
-        self.foreign_ptr = 0
-
-    @property
-    def current_head(self) -> str:
-        return self.head_block.block_id
-
-    @property
-    def known_blocks(self) -> set[str]:
-        return set(self.tree.blocks)
+        # Written per id in plain Python; read by numpy through the view.
+        self.in_chain = bytearray(table.count)
+        self.in_chain_view = np.frombuffer(self.in_chain, dtype=np.bool_)
+        self.cut_all = 0
+        self.cut_own = 0
+        self.low = 0
 
     def note_received(self, block_id: str) -> int:
         seq = next(self._seq)
@@ -430,50 +406,61 @@ class NodeState:
 
     def catch_up(self, now: float, delay: float) -> None:
         """Deliver arrivals due by ``now``: own immediately, foreign delayed."""
-        i, ids, times = self.own_ptr, self.own_ids, self.own_times
-        heap = self.heap
-        while i < len(ids) and times[i] <= now:
-            heapq.heappush(heap, ids[i])
-            i += 1
-        self.own_ptr = i
-        cutoff = now - delay
-        j, ids, times = self.foreign_ptr, self.foreign_ids, self.foreign_times
-        while j < len(ids) and times[j] <= cutoff:
-            heapq.heappush(heap, ids[j])
-            j += 1
-        self.foreign_ptr = j
+        times = self.table.times
+        self.cut_all = max(self.cut_all, int(np.searchsorted(times, now - delay, "right")))
+        self.cut_own = max(self.cut_own, int(np.searchsorted(times, now, "right")))
+
+    def set_in_chain(self, tx_ids: Sequence[int], flag: int) -> None:
+        """Flag ``tx_ids`` as on (1) or off (0) the node's canonical chain."""
+        in_chain = self.in_chain
+        for i in tx_ids:
+            in_chain[i] = flag
+        if not flag and tx_ids:
+            self.low = min(self.low, min(tx_ids))
+
+    def _available(self) -> Iterator[np.ndarray]:
+        """Delivered ids not in the chain, ascending, a chunk at a time;
+        advances ``low`` past the chunks that hold none."""
+        flags = self.in_chain_view
+        start = self.low
+        while start < self.cut_all:
+            stop = min(start + FILL_CHUNK, self.cut_all)
+            ids = np.flatnonzero(~flags[start:stop]) + start
+            if start == self.low:
+                self.low = int(ids[0]) if len(ids) else stop
+            yield ids
+            start = stop
+        lo, hi = self.cut_all, self.cut_own
+        if hi > lo:
+            own = self.table.origins[lo:hi] == self.index
+            yield np.flatnonzero(own & ~flags[lo:hi]) + lo
 
     def fill(self, gas: np.ndarray, gas_limit: int) -> tuple[list[int], int]:
-        """Pop available ids in arrival order until the gas limit binds."""
-        heap = self.heap
-        canonical = self.canonical
+        """Available ids in arrival order, up to the first that would push
+        the gas sum past ``gas_limit``; the pool itself is not changed."""
         taken: list[int] = []
         total = 0
-        while heap:
-            i = heap[0]
-            if i in canonical:
-                heapq.heappop(heap)
-                continue
-            g = int(gas[i])
-            if total + g > gas_limit:
+        for ids in self._available():
+            cum = np.cumsum(gas[ids]) + total
+            k = int(np.searchsorted(cum, gas_limit, "right"))
+            if k:
+                taken.extend(ids[:k].tolist())
+                total = int(cum[k - 1])
+            if k < len(ids):
                 break
-            heapq.heappop(heap)
-            self.popped.add(i)
-            taken.append(i)
-            total += g
         return taken, total
 
-    def pending_ids(self) -> set[int]:
-        """Delivered, not on the canonical chain (analysis helper)."""
-        delivered = set(self.own_ids[: self.own_ptr])
-        delivered.update(self.foreign_ids[: self.foreign_ptr])
-        return delivered - self.canonical
+    def delivered(self) -> np.ndarray:
+        """Boolean mask over ids: delivered to this node."""
+        mask = np.zeros(self.table.count, dtype=np.bool_)
+        mask[: self.cut_all] = True
+        lo, hi = self.cut_all, self.cut_own
+        mask[lo:hi] = self.table.origins[lo:hi] == self.index
+        return mask
 
-    @property
-    def pending_pool(self) -> set[Transaction]:
-        """Materialised view of the pending pool (inspection only; the event
-        loop works on the id sets)."""
-        return {self.table.tx(i) for i in self.pending_ids()}
+    def pending_ids(self) -> set[int]:
+        """Delivered, not on the canonical chain: the node's pool."""
+        return set(np.flatnonzero(self.delivered() & ~self.in_chain_view).tolist())
 
 
 @dataclass
@@ -595,7 +582,7 @@ class Simulation:
         seq = node.note_received(block.block_id)
         node.head_block = block
         node.head_key = (-node.tree.total_difficulty[block.block_id], seq, block.block_id)
-        node.canonical.update(tx_ids)
+        node.set_in_chain(tx_ids, 1)
         self._trace(now, "mined", node.index, block)
         for other in self.nodes:
             if other.index != node.index:
@@ -654,14 +641,9 @@ class Simulation:
             added.append(new)
             new = tree.blocks[new.header.parent_id]
         for blk in removed:
-            for i in blk.tx_ids:
-                node.canonical.discard(i)
-                if i in node.popped:
-                    node.popped.discard(i)
-                    heapq.heappush(node.heap, i)
+            node.set_in_chain(blk.tx_ids, 0)
         for blk in added:
-            for i in blk.tx_ids:
-                node.canonical.add(i)
+            node.set_in_chain(blk.tx_ids, 1)
         node.head_block = new_head
         node.head_key = new_key
         if reschedule:
@@ -705,17 +687,18 @@ class Simulation:
         tree0, head0 = node0.tree, node0.head_block.block_id
         chain = tree0.canonical_chain(head0)
         chain_tx = sum(len(b.tx_ids) for b in chain)
-        confirmed_total = len(node0.canonical)
+        confirmed_total = node0.in_chain.count(1)
         if chain_tx != confirmed_total:
             raise AssertionError("a transaction appears twice on the canonical chain")
         generated = self.table.count
-        pool_ids = node0.pending_ids()
-        stale_ids: set[int] = set()
+        # Uncle-only: on a block off the canonical chain, neither confirmed
+        # nor in node 0's pool (delivered, not on the chain).
+        stale = np.zeros(generated, dtype=np.bool_)
         canonical_ids = {b.block_id for b in chain}
         for bid, blk in tree0.blocks.items():
-            if bid not in canonical_ids:
-                stale_ids.update(blk.tx_ids)
-        uncle_only = len(stale_ids - node0.canonical - pool_ids)
+            if bid not in canonical_ids and blk.tx_ids:
+                stale[list(blk.tx_ids)] = True
+        uncle_only = int(np.count_nonzero(stale & ~node0.in_chain_view & ~node0.delivered()))
         pending = generated - confirmed_total - uncle_only
 
         stats = compute_run_stats(

@@ -48,8 +48,10 @@ PINNED = {
     "paper-l1-r0": "abdbbe19188427692bf26972c344fc54a2d10a109d0115f740cfbb649dd1d442",
     "paper-l1-r1": "1feed22810118c0bb3460ff2bf7fb9d3b7639fcc6c3811dba2dcbc12cc3e9cb2",
     "paper-l12-r0": "7645e05fa25412b6b2f71927b7baa9b6fa2e0508fded843d3a449f6ad5ad39d1",
-    "fork-5tps-r0": "78053dc0749544de970e9dc34da2682af52ab072210576411a508e8aa4074f26",
-    "fork-5tps-r1": "68382d6fbf406179ee8538186e15a2699187d061fb117677cb99a4200959d059",
+    # Re-pinned when reorged-out transactions began returning to the pool
+    # of every node that had them delivered (same RunStats, other blocks).
+    "fork-5tps-r0": "0d89b57355d3d7f94b7ee0652e8cbc459bb4c2dd8c5f898fbaef73d008f8dd3c",
+    "fork-5tps-r1": "f82bbcf4f53246081b1133a2c36a07bb6d1c5fc8ceee34ba0b16e3c559079096",
     "fork-100tps-r0": "f4b99a28121a6e4b639731a8108f615f4d1cd1eeab7e2ee9001e8697e431bd46",
     "demo-state": "9f00beaae89ba3d3fb98eb9b1c80f167334f1f13b38b840c5aaf586c6778390b",
 }

@@ -4,25 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridchain.chain import Transaction
+from gridchain.chain import Address, Transaction
 from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head
 from gridchain.contract import CallKind, ContractCall, replay_chain
 from gridchain.netsim import (
     InvalidConfig,
+    NodeState,
     SimConfig,
     Simulation,
     TRACE_HEADER,
     default_initial_difficulty,
     estimate_equilibrium_interval,
-    fill_block,
-    generate_tx_arrivals,
     run_many,
     run_simulation,
     sample_mining_time,
 )
 
 from conftest import addr, tx
+from oracles import fill_block, generate_tx_arrivals
 
 
 def small_config(**overrides):
@@ -131,6 +133,144 @@ class TestFillBlock:
         pool = [tx(0, gas=10), tx(1, gas=100), tx(2, gas=10)]
         chosen = fill_block(pool, 50)
         assert [t.tx_id for t in chosen] == [0]
+
+
+def _chain_ids(node) -> set[int]:
+    return {i for b in node.tree.canonical_chain(node.head_block.block_id) for i in b.tx_ids}
+
+
+def _delivered_ids(sim, node, now: float) -> set[int]:
+    """Ids delivered to ``node`` by ``now``, from the table: own at once,
+    foreign after the propagation delay."""
+    t, o = sim.table.times, sim.table.origins
+    due = (t <= now - sim.config.propagation_delay) | ((o == node.index) & (t <= now))
+    return set(np.flatnonzero(due).tolist())
+
+
+class TestPool:
+    def test_reorg_returns_abandoned_ids_to_the_pool(self):
+        config = small_config(tx_rate=10.0)
+        sim = Simulation(config, 0)
+        # node 2 builds a three-block branch on genesis before most arrivals
+        rival = [sim.on_block_mined(2, t) for t in (0.1, 0.2, 0.3)]
+        block_b = sim.on_block_mined(0, 5.0)
+        node1 = sim.nodes[1]
+        sim.on_block_received(1, block_b, 5.25)
+        assert node1.head_block.block_id == block_b.block_id
+        block_c = sim.on_block_mined(1, 6.0)  # node 1 mines on B
+        assert block_c.header.parent_id == block_b.block_id
+        for blk in rival:
+            sim.on_block_received(1, blk, 6.5)
+        assert node1.head_block.block_id == rival[-1].block_id  # B and C abandoned
+        on_rival = {i for blk in rival for i in blk.tx_ids}
+        returned = set(block_b.tx_ids) - on_rival
+        assert returned  # the scenario abandons transactions of another miner
+        nxt = sim.on_block_mined(1, 7.0)
+        assert returned <= set(nxt.tx_ids)
+        assert set(block_c.tx_ids) <= set(nxt.tx_ids)
+
+    def test_delivery_cut_offs_are_inclusive(self):
+        sim = Simulation(small_config(tx_rate=10.0), 0)
+        node = sim.nodes[0]
+        times, origins = sim.table.times, sim.table.origins
+        own = int(np.flatnonzero(origins == 0)[5])
+        node.catch_up(float(times[own]), 1.0)  # own: delivered on arrival
+        assert own in node.pending_ids()
+        assert own + 1 not in node.pending_ids()
+        foreign = int(np.flatnonzero(origins != 0)[20])
+        node.catch_up(float(times[foreign]), 0.0)  # foreign: after the delay
+        assert set(range(foreign + 1)) <= node.pending_ids()
+
+    def test_pool_is_delivered_minus_chain_after_every_event(self, monkeypatch):
+        config = small_config(lambda_=1, num_nodes=4, propagation_delay=2.0, tx_rate=20.0,
+                              sim_duration=80.0)
+        sim = Simulation(config, 0)
+        caught_up = {node.index: -math.inf for node in sim.nodes}
+        counts = {"reorg": 0, "checked": 0}
+
+        def check():
+            for node in sim.nodes:
+                expected = _delivered_ids(sim, node, caught_up[node.index]) - _chain_ids(node)
+                assert node.pending_ids() == expected
+            counts["checked"] += 1
+
+        catch_up = NodeState.catch_up
+
+        def recording_catch_up(node, now, delay):
+            caught_up[node.index] = max(caught_up[node.index], now)
+            catch_up(node, now, delay)
+
+        def after(method, key=None):
+            def wrapped(*args, **kwargs):
+                out = method(*args, **kwargs)
+                if key is not None:
+                    counts[key] += 1
+                else:
+                    check()
+                return out
+            return wrapped
+
+        monkeypatch.setattr(NodeState, "catch_up", recording_catch_up)
+        monkeypatch.setattr(Simulation, "on_block_mined", after(Simulation.on_block_mined))
+        monkeypatch.setattr(Simulation, "on_block_received",
+                            after(Simulation.on_block_received))
+        monkeypatch.setattr(Simulation, "_reorg", after(Simulation._reorg, "reorg"))
+        result = sim.run()
+        check()
+        assert counts["checked"] > 100
+        assert counts["reorg"] > 0
+        assert result.stats.included_uncles > 0  # the run forked
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_nodes=st.integers(1, 4),
+        tx_rate=st.floats(1.0, 40.0),
+        delay=st.floats(0.0, 3.0),
+        gas_range=st.tuples(st.integers(1_000, 60_000), st.integers(0, 60_000)),
+        gas_limit=st.integers(45_000, 600_000),
+        steps=st.lists(
+            st.tuples(st.floats(0.0, 10.0), st.sets(st.integers(0, 400), max_size=40),
+                      st.sets(st.integers(0, 400), max_size=20), st.booleans()),
+            min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_fill_matches_object_level_oracle(self, seed, num_nodes, tx_rate, delay,
+                                              gas_range, gas_limit, steps, data):
+        lo, span = gas_range
+
+        def sampler(rng, n):
+            return rng.integers(lo, lo + span + 1, size=n)
+
+        config = SimConfig(num_nodes=num_nodes, hash_shares=None, tx_rate=tx_rate,
+                           propagation_delay=delay, sim_duration=40.0, seed=seed,
+                           tx_gas_sampler=sampler)
+        sim = Simulation(config, 0)
+        node = sim.nodes[data.draw(st.integers(0, num_nodes - 1))]
+        stream = list(generate_tx_arrivals(config, np.random.default_rng([seed, 0])))
+        own = Address.from_node(node.index)
+        on_chain: set[int] = set()
+        now = 0.0
+        for advance, claim, release, mine in steps:
+            now += advance
+            claim = {i for i in claim if i < sim.table.count}
+            release = {i for i in release if i < sim.table.count}
+            node.set_in_chain(sorted(claim), 1)
+            node.set_in_chain(sorted(release), 0)
+            on_chain = (on_chain | claim) - release
+            node.catch_up(now, delay)
+            pool = [tx for t, tx in stream
+                    if (t <= now - delay or (tx.sender == own and t <= now))
+                    and tx.tx_id not in on_chain]
+            expected = fill_block(pool, gas_limit)
+            ids, gas_used = node.fill(sim.table.gas, gas_limit)
+            assert ids == [tx.tx_id for tx in expected]
+            assert all(type(i) is int for i in ids)
+            assert gas_used == sum(tx.gas for tx in expected)
+            assert node.pending_ids() == {tx.tx_id for tx in pool}
+            if mine:  # the filled block joins the chain
+                node.set_in_chain(ids, 1)
+                on_chain.update(ids)
 
 
 class TestEquilibriumCalibration:
