@@ -27,7 +27,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -407,8 +407,8 @@ class NodeState:
     def catch_up(self, now: float, delay: float) -> None:
         """Deliver arrivals due by ``now``: own immediately, foreign delayed."""
         times = self.table.times
-        self.cut_all = max(self.cut_all, int(np.searchsorted(times, now - delay, "right")))
-        self.cut_own = max(self.cut_own, int(np.searchsorted(times, now, "right")))
+        self.cut_all = max(self.cut_all, int(times.searchsorted(now - delay, "right")))
+        self.cut_own = max(self.cut_own, int(times.searchsorted(now, "right")))
 
     def set_in_chain(self, tx_ids: Sequence[int], flag: int) -> None:
         """Flag ``tx_ids`` as on (1) or off (0) the node's canonical chain."""
@@ -418,36 +418,32 @@ class NodeState:
         if not flag and tx_ids:
             self.low = min(self.low, min(tx_ids))
 
-    def _available(self) -> Iterator[np.ndarray]:
-        """Delivered ids not in the chain, ascending, a chunk at a time;
-        advances ``low`` past the chunks that hold none."""
-        flags = self.in_chain_view
-        start = self.low
-        while start < self.cut_all:
-            stop = min(start + FILL_CHUNK, self.cut_all)
-            ids = np.flatnonzero(~flags[start:stop]) + start
-            if start == self.low:
-                self.low = int(ids[0]) if len(ids) else stop
-            yield ids
-            start = stop
-        lo, hi = self.cut_all, self.cut_own
-        if hi > lo:
-            own = self.table.origins[lo:hi] == self.index
-            yield np.flatnonzero(own & ~flags[lo:hi]) + lo
-
     def fill(self, gas: np.ndarray, gas_limit: int) -> tuple[list[int], int]:
         """Available ids in arrival order, up to the first that would push
         the gas sum past ``gas_limit``; the pool itself is not changed."""
+        flags, cut_all, end = self.in_chain_view, self.cut_all, self.cut_own
         taken: list[int] = []
         total = 0
-        for ids in self._available():
-            cum = np.cumsum(gas[ids]) + total
-            k = int(np.searchsorted(cum, gas_limit, "right"))
+        start = self.low
+        while start < end:
+            stop = min(start + FILL_CHUNK, end)
+            free = ~flags[start:stop]
+            if stop > cut_all:  # from cut_all on, only own ids are delivered
+                k0 = max(cut_all - start, 0)
+                free[k0:] &= self.table.origins[start + k0 : stop] == self.index
+            ids = free.nonzero()[0] + start
+            if start == self.low:
+                # Ids before the first free one are in the chain. Stop at
+                # cut_all: foreign ids past it are not delivered yet.
+                self.low = min(int(ids[0]) if len(ids) else stop, cut_all)
+            cum = gas[ids].cumsum()
+            k = int(cum.searchsorted(gas_limit - total, "right"))
             if k:
                 taken.extend(ids[:k].tolist())
-                total = int(cum[k - 1])
+                total += int(cum[k - 1])
             if k < len(ids):
                 break
+            start = stop
         return taken, total
 
     def delivered(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gridchain.chain import Address, Transaction
 from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head
+from gridchain import netsim
 from gridchain.contract import CallKind, ContractCall, replay_chain
 from gridchain.netsim import (
     InvalidConfig,
@@ -233,10 +235,11 @@ class TestPool:
             st.tuples(st.floats(0.0, 10.0), st.sets(st.integers(0, 400), max_size=40),
                       st.sets(st.integers(0, 400), max_size=20), st.booleans()),
             min_size=1, max_size=4),
+        chunk=st.sampled_from([1, 3, 16, netsim.FILL_CHUNK]),
         data=st.data(),
     )
     def test_fill_matches_object_level_oracle(self, seed, num_nodes, tx_rate, delay,
-                                              gas_range, gas_limit, steps, data):
+                                              gas_range, gas_limit, steps, chunk, data):
         lo, span = gas_range
 
         def sampler(rng, n):
@@ -263,7 +266,8 @@ class TestPool:
                     if (t <= now - delay or (tx.sender == own and t <= now))
                     and tx.tx_id not in on_chain]
             expected = fill_block(pool, gas_limit)
-            ids, gas_used = node.fill(sim.table.gas, gas_limit)
+            with mock.patch.object(netsim, "FILL_CHUNK", chunk):
+                ids, gas_used = node.fill(sim.table.gas, gas_limit)
             assert ids == [tx.tx_id for tx in expected]
             assert all(type(i) is int for i in ids)
             assert gas_used == sum(tx.gas for tx in expected)
