@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridchain import netsim
 from gridchain.chain import Address, Transaction
 from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head
-from gridchain import netsim
 from gridchain.contract import CallKind, ContractCall, replay_chain
 from gridchain.netsim import (
     InvalidConfig,
@@ -202,21 +202,21 @@ class TestPool:
             caught_up[node.index] = max(caught_up[node.index], now)
             catch_up(node, now, delay)
 
-        def after(method, key=None):
+        def then(method, action):
             def wrapped(*args, **kwargs):
                 out = method(*args, **kwargs)
-                if key is not None:
-                    counts[key] += 1
-                else:
-                    check()
+                action()
                 return out
             return wrapped
 
+        def count_reorg():
+            counts["reorg"] += 1
+
         monkeypatch.setattr(NodeState, "catch_up", recording_catch_up)
-        monkeypatch.setattr(Simulation, "on_block_mined", after(Simulation.on_block_mined))
+        monkeypatch.setattr(Simulation, "on_block_mined", then(Simulation.on_block_mined, check))
         monkeypatch.setattr(Simulation, "on_block_received",
-                            after(Simulation.on_block_received))
-        monkeypatch.setattr(Simulation, "_reorg", after(Simulation._reorg, "reorg"))
+                            then(Simulation.on_block_received, check))
+        monkeypatch.setattr(Simulation, "_reorg", then(Simulation._reorg, count_reorg))
         result = sim.run()
         check()
         assert counts["checked"] > 100
