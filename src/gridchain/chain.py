@@ -16,6 +16,10 @@ from typing import Iterable, Sequence
 # size is needed for propagation modelling.
 DEFAULT_HEADER_OVERHEAD_KB = 0.5
 
+# Ancestors kept per block in ``BlockTree.lineage``: the uncle window of
+# ``consensus.MAX_UNCLE_GENERATIONS`` generations.
+LINEAGE_ANCESTORS = 7
+
 
 class ChainError(Exception):
     pass
@@ -113,6 +117,12 @@ class _TxSlice(Sequence):
     def __iter__(self):
         return (self._table.tx(j) for j in self._ids)
 
+    def injected(self) -> list[Transaction]:
+        """The injected transactions of the slice, in block order: the only
+        ones that can carry a payload."""
+        injected = self._table.injected
+        return [injected[j] for j in self._ids if j in injected]
+
     def __repr__(self) -> str:
         return f"<_TxSlice of {len(self._ids)} txs>"
 
@@ -133,6 +143,18 @@ class Block:
 
     def size_kb(self, header_overhead_kb: float = DEFAULT_HEADER_OVERHEAD_KB) -> float:
         return header_overhead_kb + sum(t.size_kb for t in self.transactions)
+
+
+def payload_transactions(block: Block) -> Iterable[Transaction]:
+    """The block's transactions that may carry a payload, in block order.
+
+    A simulator block answers from its injected ids without materialising
+    its other transactions; any other block yields all of its own.
+    """
+    txs = block.transactions
+    if isinstance(txs, _TxSlice):
+        return txs.injected()
+    return txs
 
 
 def header_digest(
@@ -199,6 +221,9 @@ class BlockTree:
         self.total_difficulty: dict[str, int] = {genesis.block_id: genesis.header.difficulty}
         # number -> list of block ids at that height, in insertion order
         self.by_number: dict[int, list[str]] = {genesis.number: [genesis.block_id]}
+        # block id -> the block and its LINEAGE_ANCESTORS nearest ancestors,
+        # nearest first, cut short at genesis
+        self.lineage: dict[str, tuple[str, ...]] = {genesis.block_id: (genesis.block_id,)}
 
     def __contains__(self, block_id: str) -> bool:
         return block_id in self.blocks
@@ -224,6 +249,7 @@ class BlockTree:
         self.children[parent_id].add(bid)
         self.total_difficulty[bid] = self.total_difficulty[parent_id] + block.header.difficulty
         self.by_number.setdefault(block.number, []).append(bid)
+        self.lineage[bid] = (bid,) + self.lineage[parent_id][:LINEAGE_ANCESTORS]
         return True
 
     def block(self, block_id: str) -> Block:
@@ -252,20 +278,3 @@ class BlockTree:
             cur = self.blocks[cur.header.parent_id]
             out.append(cur.block_id)
         return out
-
-    def is_ancestor(self, candidate: str, of: str, max_depth: int | None = None) -> bool:
-        """True iff ``candidate`` lies on the parent path of ``of``."""
-        cand = self.block(candidate)
-        cur = self.block(of)
-        target_number = cand.number
-        while cur.number > target_number and cur.block_id != self.genesis_id:
-            if max_depth is not None:
-                if cur.number - target_number > max_depth:
-                    return False
-            cur = self.blocks[cur.header.parent_id]
-        return cur.block_id == candidate
-
-
-def iter_chain_tx_ids(chain: Iterable[Block]) -> Iterable[int]:
-    for block in chain:
-        yield from block.tx_ids

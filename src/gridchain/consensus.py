@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import BlockHeader, BlockTree, UnknownParent
+from .chain import LINEAGE_ANCESTORS, BlockHeader, BlockTree, UnknownBlock, UnknownParent
 
 MIN_DIFFICULTY = 131072
 
 # A block may reference an uncle whose parent is its k-th generation
 # ancestor for 2 <= k <= MAX_UNCLE_GENERATIONS (the standard protocol window).
-MAX_UNCLE_GENERATIONS = 7
+# ``BlockTree.lineage`` keeps exactly the ancestors this window needs.
+MAX_UNCLE_GENERATIONS = LINEAGE_ANCESTORS
 MAX_UNCLES_PER_BLOCK = 2
 
 
@@ -144,8 +145,9 @@ def validate_uncle(tree: BlockTree, nephew: BlockHeader, uncle_id: str) -> bool:
     k = nephew.number - uncle.number + 1
     if not (2 <= k <= MAX_UNCLE_GENERATIONS):
         return False
-    lineage = tree.ancestors(nephew.parent_id, MAX_UNCLE_GENERATIONS)
-    lineage = [nephew.parent_id] + lineage
+    lineage = tree.lineage.get(nephew.parent_id)
+    if lineage is None:
+        raise UnknownBlock(nephew.parent_id)
     if uncle_id in lineage:
         return False
     if uncle.header.parent_id not in lineage:
@@ -162,31 +164,29 @@ def eligible_uncles(tree: BlockTree, new_parent: str) -> list[str]:
     """Up to two uncle candidates for a child of ``new_parent``.
 
     Deterministic: candidates are ordered by block number ascending, then by
-    block id, and the first two valid ones are returned.
+    block id, and the first two valid ones are returned. The checks are
+    those of ``validate_uncle``, made against one lineage set and one set of
+    already-included uncles.
     """
-    parent = tree.block(new_parent)
-    nephew_number = parent.number + 1
-    probe = BlockHeader(
-        block_id="",
-        number=nephew_number,
-        parent_id=new_parent,
-        miner=-1,
-        difficulty=0,
-        timestamp=parent.header.timestamp + 1,
-        uncle_ids=(),
-        gas_used=0,
-    )
-    candidates: list[tuple[int, str]] = []
+    nephew_number = tree.block(new_parent).number + 1
+    lineage = tree.lineage[new_parent]
+    blocks, by_number = tree.blocks, tree.by_number
+    ancestry = set(lineage)
+    included = {uid for aid in lineage for uid in blocks[aid].header.uncle_ids}
+    out: list[str] = []
     lo = max(0, nephew_number - MAX_UNCLE_GENERATIONS + 1)
     for number in range(lo, nephew_number):
-        for bid in tree.by_number.get(number, ()):
-            candidates.append((number, bid))
-    out: list[str] = []
-    for _, bid in sorted(candidates):
-        if validate_uncle(tree, probe, bid):
-            out.append(bid)
-            if len(out) == MAX_UNCLES_PER_BLOCK:
-                break
+        ids = by_number[number]
+        # A height below the nephew always holds its ancestor; alone, that
+        # block is no candidate.
+        if len(ids) == 1:
+            continue
+        for bid in sorted(ids):
+            if (bid not in ancestry and bid not in included
+                    and blocks[bid].header.parent_id in ancestry):
+                out.append(bid)
+                if len(out) == MAX_UNCLES_PER_BLOCK:
+                    return out
     return out
 
 

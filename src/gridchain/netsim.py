@@ -321,22 +321,8 @@ def build_tx_table(
 
 
 class EventKind(Enum):
-    TX_ARRIVAL = "tx_arrival"  # arrivals are table-driven; kept for traces/tools
     BLOCK_MINED = "mined"
     BLOCK_RECEIVED = "received"
-
-
-@dataclass(slots=True)
-class Event:
-    time: float
-    sequence: int
-    kind: EventKind
-    node: int
-    block: Block | None = None
-    epoch: int = 0
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
 
 
 # Ids examined per vectorised step of ``NodeState.fill``.
@@ -501,7 +487,10 @@ class Simulation:
         )
         self.genesis = make_genesis(difficulty0)
         self.nodes = [NodeState(i, self.genesis, self.table) for i in range(config.num_nodes)]
-        self.events: list[Event] = []
+        self.hashrates = [config.total_hashrate * share for share in config.shares()]
+        # (time, sequence, kind, node, block, epoch); the sequence is unique,
+        # so the heap orders by (time, sequence) and compares nothing else.
+        self.events: list[tuple] = []
         self._sequence = itertools.count()
         self.trace = trace
         if trace is not None:
@@ -509,7 +498,7 @@ class Simulation:
 
     def _push(self, time: float, kind: EventKind, node: int, block: Block | None = None,
               epoch: int = 0) -> None:
-        heapq.heappush(self.events, Event(time, next(self._sequence), kind, node, block, epoch))
+        heapq.heappush(self.events, (time, next(self._sequence), kind, node, block, epoch))
 
     def _trace(self, time: float, kind: str, node: int, block: Block) -> None:
         if self.trace is None:
@@ -527,10 +516,7 @@ class Simulation:
         head = node.head_block.header
         candidate_ts = max(head.timestamp + 1, int(now))
         trace = compute_difficulty(self.params, head, head.number + 1, candidate_ts)
-        share = self.config.shares()[node.index]
-        dt = sample_mining_time(
-            self.rng, trace.result, self.config.total_hashrate * share
-        )
+        dt = sample_mining_time(self.rng, trace.result, self.hashrates[node.index])
         node.mining_deadline = now + dt
         self._push(now + dt, EventKind.BLOCK_MINED, node.index, epoch=node.epoch)
 
@@ -668,15 +654,13 @@ class Simulation:
             self._schedule_mining(node, 0.0)
         events = self.events
         while events:
-            ev = heapq.heappop(events)
-            if ev.kind is EventKind.BLOCK_MINED:
-                node = self.nodes[ev.node]
-                if ev.epoch != node.epoch or ev.time > duration:
+            time, _, kind, index, block, epoch = heapq.heappop(events)
+            if kind is EventKind.BLOCK_MINED:
+                if epoch != self.nodes[index].epoch or time > duration:
                     continue
-                self.on_block_mined(ev.node, ev.time)
+                self.on_block_mined(index, time)
             else:
-                self.on_block_received(ev.node, ev.block, ev.time,
-                                       reschedule=ev.time <= duration)
+                self.on_block_received(index, block, time, reschedule=time <= duration)
         self._settle()
 
         node0 = self.nodes[0]

@@ -1,12 +1,14 @@
-"""Object-level reference versions of the simulator's transaction stream and
-block filling, kept as oracles for differential tests of the id-level code
-in ``gridchain.netsim``."""
+"""Reference versions of the simulator's fast paths, kept as oracles for
+differential tests: the object-level transaction stream and block filling
+behind the id-level code in ``gridchain.netsim``, and the per-candidate
+uncle selection behind the lineage-based one in ``gridchain.consensus``."""
 
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from gridchain.chain import Transaction
+from gridchain.chain import BlockHeader, BlockTree, Transaction
+from gridchain.consensus import MAX_UNCLE_GENERATIONS, MAX_UNCLES_PER_BLOCK
 from gridchain.netsim import SimConfig, build_tx_table
 
 
@@ -33,3 +35,55 @@ def fill_block(pool: Iterable[Transaction], gas_limit: int) -> list[Transaction]
         chosen.append(tx)
         total += tx.gas
     return chosen
+
+
+def validate_uncle(tree: BlockTree, nephew: BlockHeader, uncle_id: str) -> bool:
+    """Uncle check that walks the nephew's ancestors for every candidate."""
+    if uncle_id not in tree:
+        return False
+    uncle = tree.blocks[uncle_id]
+    k = nephew.number - uncle.number + 1
+    if not (2 <= k <= MAX_UNCLE_GENERATIONS):
+        return False
+    lineage = [nephew.parent_id] + tree.ancestors(nephew.parent_id, MAX_UNCLE_GENERATIONS)
+    if uncle_id in lineage:
+        return False
+    if uncle.header.parent_id not in lineage:
+        return False
+    for aid in lineage:
+        if uncle_id in tree.blocks[aid].header.uncle_ids:
+            return False
+    return True
+
+
+def probe_header(tree: BlockTree, parent_id: str) -> BlockHeader:
+    """A prospective child header of ``parent_id``, for uncle checks."""
+    parent = tree.block(parent_id)
+    return BlockHeader(
+        block_id="",
+        number=parent.number + 1,
+        parent_id=parent_id,
+        miner=-1,
+        difficulty=0,
+        timestamp=parent.header.timestamp + 1,
+        uncle_ids=(),
+        gas_used=0,
+    )
+
+
+def eligible_uncles(tree: BlockTree, new_parent: str) -> list[str]:
+    """Every block in the window, sorted by (number, id), checked one by one
+    with ``validate_uncle``; the first two valid ones."""
+    probe = probe_header(tree, new_parent)
+    candidates: list[tuple[int, str]] = []
+    lo = max(0, probe.number - MAX_UNCLE_GENERATIONS + 1)
+    for number in range(lo, probe.number):
+        for bid in tree.by_number.get(number, ()):
+            candidates.append((number, bid))
+    out: list[str] = []
+    for _, bid in sorted(candidates):
+        if validate_uncle(tree, probe, bid):
+            out.append(bid)
+            if len(out) == MAX_UNCLES_PER_BLOCK:
+                break
+    return out

@@ -1,11 +1,21 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridchain.chain import BlockHeader, BlockTree, make_block
+import oracles
+from gridchain.chain import (
+    BlockHeader,
+    BlockTree,
+    UnknownBlock,
+    UnknownParent,
+    make_block,
+    make_genesis,
+)
 from gridchain.consensus import (
+    MAX_UNCLE_GENERATIONS,
     DifficultyParams,
     NonMonotonicTimestamp,
     compute_difficulty,
@@ -14,6 +24,7 @@ from gridchain.consensus import (
     validate_header,
     validate_uncle,
 )
+from gridchain.netsim import SimConfig, run_simulation
 
 from conftest import extend
 
@@ -294,6 +305,84 @@ class TestUncles:
         got = eligible_uncles(tree, spine[4].block_id)
         assert got == [s1.block_id, s2.block_id]
         assert s3.block_id not in got
+
+    def test_unknown_nephew_parent_raises(self, tree, genesis):
+        spine = build_spine(tree, genesis, 3)
+        stale = extend(tree, spine[1], difficulty=131073, miner=2, ts=50)
+        nephew = BlockHeader(block_id="n", number=4, parent_id="missing", miner=0,
+                             difficulty=131072, timestamp=60, uncle_ids=(stale.block_id,),
+                             gas_used=0)
+        with pytest.raises(UnknownBlock):
+            validate_uncle(tree, nephew, stale.block_id)
+        with pytest.raises(UnknownBlock):
+            eligible_uncles(tree, "missing")
+        with pytest.raises(UnknownParent):
+            validate_header(DifficultyParams(lambda_=3), tree, nephew)
+
+
+def fork_tree(rng: random.Random, size: int) -> BlockTree:
+    """A random fork-heavy tree, built without validation.
+
+    Each block extends one of the four latest blocks and references up to
+    two blocks of the eight heights below it, whether or not they are
+    ancestors or already included, so double inclusion happens.
+    """
+    genesis = make_genesis(difficulty=131072)
+    tree = BlockTree(genesis)
+    blocks = [genesis]
+    for i in range(size):
+        parent = blocks[-1 - rng.randrange(min(4, len(blocks)))]
+        window = [b for b in blocks if b.number > parent.number - 8]
+        uncles = rng.sample(window, min(len(window), rng.choice((0, 0, 0, 1, 2))))
+        blocks.append(extend(tree, parent, difficulty=131072, miner=i,
+                             uncle_ids=tuple(u.block_id for u in uncles)))
+    return tree
+
+
+def compare_uncle_selection(tree: BlockTree) -> Counter:
+    """Assert the lineage-based uncle checks agree with the oracles for
+    every (nephew parent, candidate) pair; count the edge cases met."""
+    seen: Counter = Counter()
+    for pid in tree.blocks:
+        assert eligible_uncles(tree, pid) == oracles.eligible_uncles(tree, pid)
+        probe = oracles.probe_header(tree, pid)
+        lineage = [pid] + tree.ancestors(pid, MAX_UNCLE_GENERATIONS)
+        included = {u for a in lineage for u in tree.blocks[a].header.uncle_ids}
+        for cid, cand in tree.blocks.items():
+            valid = oracles.validate_uncle(tree, probe, cid)
+            assert validate_uncle(tree, probe, cid) == valid
+            k = probe.number - cand.number + 1
+            related = cid not in lineage and cand.header.parent_id in lineage
+            seen["k7-valid"] += valid and k == MAX_UNCLE_GENERATIONS
+            seen["k8-out"] += (related and k == MAX_UNCLE_GENERATIONS + 1
+                               and cid not in included)
+            seen["double"] += related and 2 <= k <= MAX_UNCLE_GENERATIONS and cid in included
+            seen["cut-at-genesis"] += valid and len(lineage) <= MAX_UNCLE_GENERATIONS
+    return seen
+
+
+class TestUncleSelectionOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(rng=st.randoms(use_true_random=False), size=st.integers(1, 40))
+    def test_matches_per_candidate_oracle(self, rng, size):
+        compare_uncle_selection(fork_tree(rng, size))
+
+    def test_random_trees_reach_the_edge_cases(self):
+        seen: Counter = Counter()
+        for seed in range(10):
+            seen += compare_uncle_selection(fork_tree(random.Random(seed), 40))
+        for case in ("k7-valid", "k8-out", "double", "cut-at-genesis"):
+            assert seen[case] > 0, case
+
+    def test_lineage_is_block_and_seven_ancestors(self):
+        config = SimConfig(lambda_=1, num_nodes=6, propagation_delay=2.0, tx_rate=5.0,
+                           sim_duration=200.0, warmup_blocks=0, seed=1)
+        result = run_simulation(config, 0)
+        assert result.stats.included_uncles > 0
+        for tree in result.trees:
+            assert tree.lineage.keys() == tree.blocks.keys()
+            for bid in tree.blocks:
+                assert tree.lineage[bid] == (bid, *tree.ancestors(bid, 7))
 
 
 def header_for(parent_block, tree):

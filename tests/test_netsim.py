@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridchain import netsim
-from gridchain.chain import Address, Transaction
+from gridchain.chain import Address, Transaction, payload_transactions
 from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head
-from gridchain.contract import CallKind, ContractCall, replay_chain
+from gridchain.contract import CallKind, ContractCall, dump_state, replay_chain
 from gridchain.netsim import (
     InvalidConfig,
     NodeState,
@@ -489,6 +489,28 @@ class TestInjectedTransactions:
         assert state.init_addr == owner
         assert state.total_of_reco == 1
         assert state.reco[1].id == b"i"
+
+    def test_replay_of_injected_ids_matches_a_full_scan(self):
+        owner, stranger = addr("owner"), addr("stranger")
+        record = ContractCall(CallKind.NEW_RECO, record_id=b"i", record_time=b"t",
+                              record_value=b"v")
+        calls = [
+            (1.0, 0, Transaction(0, owner, 45_000, 0.76, payload=ContractCall(CallKind.DEPLOY))),
+            (2.0, 1, Transaction(0, stranger, 45_000, 0.76, payload=record)),  # refused
+            (3.0, 2, Transaction(0, owner, 45_000, 0.76, payload=record)),
+            (4.0, 0, Transaction(0, owner, 45_000, 0.76, payload=None)),
+        ]
+        config = small_config(tx_rate=5.0, sim_duration=150.0)
+        chain = run_simulation(config, 0, injected=calls).canonical_blocks()
+        scanned = [dataclasses.replace(b, transactions=tuple(b.transactions)) for b in chain]
+        def with_payload(block):
+            return [t for t in payload_transactions(block) if t.payload is not None]
+
+        assert [with_payload(b) for b in chain] == [with_payload(b) for b in scanned]
+        fast, full = replay_chain(chain), replay_chain(scanned)
+        assert (fast.applied_calls, fast.failed_calls) == (2, 1)
+        assert fast.failures_by_sender == full.failures_by_sender == {stranger: 1}
+        assert dump_state(fast) == dump_state(full)
 
     def test_injected_renumbered_in_arrival_order(self):
         owner = addr("owner")
