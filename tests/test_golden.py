@@ -2,8 +2,9 @@
 
 Each cell hashes (sha256) one output that a refactor or speed-up must leave
 byte-identical: a small sweep CSV, ``repr(RunStats)`` with every node's head
-for a few (config, run) cells, and the registry dump of a short end-to-end
-demo. A change that moves results on purpose re-pins the affected cells and
+for a few (config, run) cells, the ``--trace`` CSV (every mined and received
+block, in event order) of two fork-heavy cells, and the registry dump of a
+short end-to-end demo. A change that moves results on purpose re-pins the affected cells and
 names them, with the reason, in CHANGES.md.
 """
 
@@ -16,6 +17,8 @@ from gridchain.cli import ExperimentSpec, run_e2e_demo
 from gridchain.contract import dump_state
 from gridchain.metrics import aggregate_runs, write_sweep_csv
 from gridchain.netsim import SimConfig, run_many, run_simulation
+
+from conftest import line_link_delays
 
 
 def _sha(text: str) -> str:
@@ -33,6 +36,14 @@ def fork_config(tx_rate: float) -> SimConfig:
                      sim_duration=600.0, warmup_blocks=10, seed=1)
 
 
+def links_config() -> SimConfig:
+    """Fork-heavy with per-link delays: 4 unequal miners on a line."""
+    return SimConfig(lambda_=1, num_nodes=4, hash_shares=(0.4, 0.3, 0.2, 0.1),
+                     propagation_delay=0.5, tx_rate=20.0, sim_duration=600.0,
+                     warmup_blocks=10, seed=1,
+                     link_delays=line_link_delays((0.0, 0.3, 1.0, 2.2), 0.2))
+
+
 # name -> (config, run index)
 RUN_CELLS = {
     "paper-l1-r0": (paper_config(1), 0),
@@ -41,6 +52,12 @@ RUN_CELLS = {
     "fork-5tps-r0": (fork_config(5.0), 0),
     "fork-5tps-r1": (fork_config(5.0), 1),
     "fork-100tps-r0": (fork_config(100.0), 0),
+}
+
+# name -> (config, run index) whose event trace is pinned
+TRACE_CELLS = {
+    "trace-fork-5tps-r0": (fork_config(5.0), 0),
+    "trace-links-r0": (links_config(), 0),
 }
 
 PINNED = {
@@ -53,6 +70,8 @@ PINNED = {
     "fork-5tps-r0": "0d89b57355d3d7f94b7ee0652e8cbc459bb4c2dd8c5f898fbaef73d008f8dd3c",
     "fork-5tps-r1": "f82bbcf4f53246081b1133a2c36a07bb6d1c5fc8ceee34ba0b16e3c559079096",
     "fork-100tps-r0": "f4b99a28121a6e4b639731a8108f615f4d1cd1eeab7e2ee9001e8697e431bd46",
+    "trace-fork-5tps-r0": "2fa1174b5114f827f7a92ca0210eaeacc0a8a9f1672ccdc61f35dc10237bbf36",
+    "trace-links-r0": "586e124f8b6589349aa276d6c506c3c673f3a3809f6bd19ef940fcb56f9cfeb6",
     "demo-state": "9f00beaae89ba3d3fb98eb9b1c80f167334f1f13b38b840c5aaf586c6778390b",
 }
 
@@ -60,6 +79,12 @@ PINNED = {
 def run_fingerprint(config: SimConfig, run_index: int) -> str:
     result = run_simulation(config, run_index)
     return _sha(repr(result.stats) + "\n" + ",".join(result.heads))
+
+
+def trace_fingerprint(config: SimConfig, run_index: int) -> str:
+    buf = io.StringIO()
+    run_simulation(config, run_index, trace=buf)
+    return _sha(buf.getvalue())
 
 
 def sweep_fingerprint() -> str:
@@ -84,6 +109,8 @@ def fingerprint(name: str) -> str:
         return sweep_fingerprint()
     if name == "demo-state":
         return demo_fingerprint()
+    if name in TRACE_CELLS:
+        return trace_fingerprint(*TRACE_CELLS[name])
     return run_fingerprint(*RUN_CELLS[name])
 
 
