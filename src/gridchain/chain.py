@@ -208,7 +208,7 @@ def make_genesis(difficulty: int, timestamp: int = 0) -> Block:
 
 
 class BlockTree:
-    """Block store keyed by id with parent/child links and total difficulty.
+    """Block store keyed by id with parent links and total difficulty.
 
     Single-writer: one simulation run mutates a tree; parallelism happens
     across runs, never within one tree.
@@ -217,7 +217,6 @@ class BlockTree:
     def __init__(self, genesis: Block):
         self.genesis_id = genesis.block_id
         self.blocks: dict[str, Block] = {genesis.block_id: genesis}
-        self.children: dict[str, set[str]] = {genesis.block_id: set()}
         self.total_difficulty: dict[str, int] = {genesis.block_id: genesis.header.difficulty}
         # number -> list of block ids at that height, in insertion order
         self.by_number: dict[int, list[str]] = {genesis.number: [genesis.block_id]}
@@ -245,8 +244,6 @@ class BlockTree:
         if parent_id not in self.blocks:
             raise UnknownParent(f"parent {parent_id!r} of block {bid!r} not in tree")
         self.blocks[bid] = block
-        self.children[bid] = set()
-        self.children[parent_id].add(bid)
         self.total_difficulty[bid] = self.total_difficulty[parent_id] + block.header.difficulty
         self.by_number.setdefault(block.number, []).append(bid)
         self.lineage[bid] = (bid,) + self.lineage[parent_id][:LINEAGE_ANCESTORS]

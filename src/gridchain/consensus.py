@@ -14,6 +14,7 @@ All arithmetic is exact integer arithmetic with floor division.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chain import LINEAGE_ANCESTORS, BlockHeader, BlockTree, UnknownBlock, UnknownParent
 
@@ -60,8 +61,7 @@ class DifficultyParams:
             raise ValueError("zeta_floor must be negative")
 
 
-@dataclass(frozen=True, slots=True)
-class DifficultyTrace:
+class DifficultyTrace(NamedTuple):
     """One difficulty evaluation with all intermediates kept inspectable."""
 
     t: int          # block interval in seconds

@@ -336,7 +336,8 @@ class NodeState:
     shared ``TxTable``, and keeps no per-transaction objects:
 
     * ``in_chain`` holds one flag per id, set while the id is on the node's
-      canonical chain. Mining a block and reorganising flip it per id.
+      canonical chain. Mining a block and reorganising flip a block's ids
+      with one array assignment.
     * Delivery is two cut-offs on the sorted arrival times, moved forward by
       ``catch_up``: every id below ``cut_all`` arrived at least one
       propagation delay ago and has reached every node; the node's own ids
@@ -359,9 +360,7 @@ class NodeState:
         "_seq",
         "orphans",
         "epoch",
-        "mining_deadline",
         "in_chain",
-        "in_chain_view",
         "cut_all",
         "cut_own",
         "low",
@@ -377,10 +376,7 @@ class NodeState:
         self._seq = itertools.count(1)
         self.orphans: dict[str, list[Block]] = {}
         self.epoch = 0
-        self.mining_deadline = math.inf
-        # Written per id in plain Python; read by numpy through the view.
-        self.in_chain = bytearray(table.count)
-        self.in_chain_view = np.frombuffer(self.in_chain, dtype=np.bool_)
+        self.in_chain = np.zeros(table.count, dtype=np.bool_)
         self.cut_all = 0
         self.cut_own = 0
         self.low = 0
@@ -396,18 +392,17 @@ class NodeState:
         self.cut_all = max(self.cut_all, int(times.searchsorted(now - delay, "right")))
         self.cut_own = max(self.cut_own, int(times.searchsorted(now, "right")))
 
-    def set_in_chain(self, tx_ids: Sequence[int], flag: int) -> None:
-        """Flag ``tx_ids`` as on (1) or off (0) the node's canonical chain."""
-        in_chain = self.in_chain
-        for i in tx_ids:
-            in_chain[i] = flag
-        if not flag and tx_ids:
-            self.low = min(self.low, min(tx_ids))
+    def set_in_chain(self, tx_ids: np.ndarray | Sequence[int], flag: bool) -> None:
+        """Flag ``tx_ids`` as on (true) or off (false) the node's canonical
+        chain."""
+        self.in_chain[tx_ids] = flag
+        if not flag and len(tx_ids):
+            self.low = min(self.low, int(np.min(tx_ids)))
 
     def fill(self, gas: np.ndarray, gas_limit: int) -> tuple[list[int], int]:
         """Available ids in arrival order, up to the first that would push
         the gas sum past ``gas_limit``; the pool itself is not changed."""
-        flags, cut_all, end = self.in_chain_view, self.cut_all, self.cut_own
+        flags, cut_all, end = self.in_chain, self.cut_all, self.cut_own
         taken: list[int] = []
         total = 0
         start = self.low
@@ -442,7 +437,7 @@ class NodeState:
 
     def pending_ids(self) -> set[int]:
         """Delivered, not on the canonical chain: the node's pool."""
-        return set(np.flatnonzero(self.delivered() & ~self.in_chain_view).tolist())
+        return set(np.flatnonzero(self.delivered() & ~self.in_chain).tolist())
 
 
 @dataclass
@@ -488,17 +483,28 @@ class Simulation:
         self.genesis = make_genesis(difficulty0)
         self.nodes = [NodeState(i, self.genesis, self.table) for i in range(config.num_nodes)]
         self.hashrates = [config.total_hashrate * share for share in config.shares()]
-        # (time, sequence, kind, node, block, epoch); the sequence is unique,
-        # so the heap orders by (time, sequence) and compares nothing else.
+        # Per sender: (delay, receiver) for every other node, in index order.
+        self.links = [
+            [(config.delay(src, dst), dst) for dst in range(config.num_nodes) if dst != src]
+            for src in range(config.num_nodes)
+        ]
+        # Block id -> the block's transaction ids as an index array.
+        self.tx_arrays: dict[str, np.ndarray] = {}
+        # Ids of the blocks whose header passed ``validate_header``.
+        self.validated: set[str] = set()
+        # (time, sequence, kind, target, block, epoch); the sequence is
+        # unique, so the heap orders by (time, sequence) and compares nothing
+        # else. A mining event targets a node index, a delivery a tuple of
+        # receivers in index order.
         self.events: list[tuple] = []
         self._sequence = itertools.count()
         self.trace = trace
         if trace is not None:
             trace.write(TRACE_HEADER + "\n")
 
-    def _push(self, time: float, kind: EventKind, node: int, block: Block | None = None,
-              epoch: int = 0) -> None:
-        heapq.heappush(self.events, (time, next(self._sequence), kind, node, block, epoch))
+    def _push(self, time: float, kind: EventKind, target: int | tuple[int, ...],
+              block: Block | None = None, epoch: int = 0) -> None:
+        heapq.heappush(self.events, (time, next(self._sequence), kind, target, block, epoch))
 
     def _trace(self, time: float, kind: str, node: int, block: Block) -> None:
         if self.trace is None:
@@ -517,7 +523,6 @@ class Simulation:
         candidate_ts = max(head.timestamp + 1, int(now))
         trace = compute_difficulty(self.params, head, head.number + 1, candidate_ts)
         dt = sample_mining_time(self.rng, trace.result, self.hashrates[node.index])
-        node.mining_deadline = now + dt
         self._push(now + dt, EventKind.BLOCK_MINED, node.index, epoch=node.epoch)
 
     def _build_block(
@@ -533,6 +538,7 @@ class Simulation:
     ) -> Block:
         ids = tuple(tx_ids)
         block_id = header_digest(number, parent_id, miner, difficulty, timestamp, uncle_ids, ids)
+        self.tx_arrays[block_id] = np.array(ids, dtype=np.intp)
         header = BlockHeader(
             block_id=block_id,
             number=number,
@@ -564,39 +570,56 @@ class Simulation:
         seq = node.note_received(block.block_id)
         node.head_block = block
         node.head_key = (-node.tree.total_difficulty[block.block_id], seq, block.block_id)
-        node.set_in_chain(tx_ids, 1)
+        node.set_in_chain(self.tx_arrays[block.block_id], True)
         self._trace(now, "mined", node.index, block)
-        for other in self.nodes:
-            if other.index != node.index:
-                self._push(
-                    now + self.config.delay(node.index, other.index),
-                    EventKind.BLOCK_RECEIVED,
-                    other.index,
-                    block=block,
-                )
+        self._broadcast(block, node.index, now)
         self._schedule_mining(node, now)
         return block
+
+    def _broadcast(self, block: Block, sender: int, now: float) -> None:
+        """One delivery event per arrival time, carrying its receivers in
+        index order.
+
+        Per-receiver events would take consecutive sequence numbers, so no
+        other event could fall between two of them with the same time: one
+        event that delivers to each receiver in turn is the same order.
+        """
+        arrivals: dict[float, list[int]] = {}
+        for delay, dst in self.links[sender]:
+            arrivals.setdefault(now + delay, []).append(dst)
+        for time, receivers in arrivals.items():
+            self._push(time, EventKind.BLOCK_RECEIVED, tuple(receivers), block)
 
     def on_block_received(self, node_index: int, block: Block, now: float,
                           reschedule: bool = True) -> None:
         """Insert a delivered block (buffering on unknown parents), then
         re-run fork choice and reorganise if the head changed."""
         node = self.nodes[node_index]
+        tree, validated = node.tree, self.validated
         queue = [block]
         while queue:
             b = queue.pop(0)
-            if b.block_id in node.tree:
+            header = b.header
+            if b.block_id in tree:
                 continue
-            if b.header.parent_id not in node.tree:
-                node.orphans.setdefault(b.header.parent_id, []).append(b)
+            if header.parent_id not in tree:
+                node.orphans.setdefault(header.parent_id, []).append(b)
                 continue
-            if not validate_header(self.params, node.tree, b.header):
+            if b.block_id in validated:
+                # Block ids are content digests, so the parent and the
+                # lineage are the same at every node; only whether the tree
+                # holds each uncle can differ.
+                valid = all(uid in tree for uid in header.uncle_ids)
+            else:
+                valid = validate_header(self.params, tree, header)
+                validated.add(b.block_id)
+            if not valid:
                 # Simulator nodes are honest; a failure here is a bug.
                 raise AssertionError(f"invalid header broadcast: {b.block_id}")
-            node.tree.insert_block(b)
+            tree.insert_block(b)
             seq = node.note_received(b.block_id)
             self._trace(now, "received", node.index, b)
-            key = (-node.tree.total_difficulty[b.block_id], seq, b.block_id)
+            key = (-tree.total_difficulty[b.block_id], seq, b.block_id)
             if key < node.head_key:
                 self._reorg(node, b, key, now, reschedule)
             queue.extend(node.orphans.pop(b.block_id, ()))
@@ -623,9 +646,9 @@ class Simulation:
             added.append(new)
             new = tree.blocks[new.header.parent_id]
         for blk in removed:
-            node.set_in_chain(blk.tx_ids, 0)
+            node.set_in_chain(self.tx_arrays[blk.block_id], False)
         for blk in added:
-            node.set_in_chain(blk.tx_ids, 1)
+            node.set_in_chain(self.tx_arrays[blk.block_id], True)
         node.head_block = new_head
         node.head_key = new_key
         if reschedule:
@@ -654,20 +677,22 @@ class Simulation:
             self._schedule_mining(node, 0.0)
         events = self.events
         while events:
-            time, _, kind, index, block, epoch = heapq.heappop(events)
+            time, _, kind, target, block, epoch = heapq.heappop(events)
             if kind is EventKind.BLOCK_MINED:
-                if epoch != self.nodes[index].epoch or time > duration:
+                if epoch != self.nodes[target].epoch or time > duration:
                     continue
-                self.on_block_mined(index, time)
+                self.on_block_mined(target, time)
             else:
-                self.on_block_received(index, block, time, reschedule=time <= duration)
+                reschedule = time <= duration
+                for index in target:
+                    self.on_block_received(index, block, time, reschedule)
         self._settle()
 
         node0 = self.nodes[0]
         tree0, head0 = node0.tree, node0.head_block.block_id
         chain = tree0.canonical_chain(head0)
         chain_tx = sum(len(b.tx_ids) for b in chain)
-        confirmed_total = node0.in_chain.count(1)
+        confirmed_total = int(np.count_nonzero(node0.in_chain))
         if chain_tx != confirmed_total:
             raise AssertionError("a transaction appears twice on the canonical chain")
         generated = self.table.count
@@ -675,10 +700,10 @@ class Simulation:
         # nor in node 0's pool (delivered, not on the chain).
         stale = np.zeros(generated, dtype=np.bool_)
         canonical_ids = {b.block_id for b in chain}
-        for bid, blk in tree0.blocks.items():
-            if bid not in canonical_ids and blk.tx_ids:
-                stale[list(blk.tx_ids)] = True
-        uncle_only = int(np.count_nonzero(stale & ~node0.in_chain_view & ~node0.delivered()))
+        for bid in tree0.blocks:
+            if bid not in canonical_ids:
+                stale[self.tx_arrays[bid]] = True
+        uncle_only = int(np.count_nonzero(stale & ~node0.in_chain & ~node0.delivered()))
         pending = generated - confirmed_total - uncle_only
 
         stats = compute_run_stats(

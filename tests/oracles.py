@@ -1,15 +1,17 @@
 """Reference versions of the simulator's fast paths, kept as oracles for
 differential tests: the object-level transaction stream and block filling
-behind the id-level code in ``gridchain.netsim``, and the per-candidate
-uncle selection behind the lineage-based one in ``gridchain.consensus``."""
+behind the id-level code in ``gridchain.netsim``, the per-candidate uncle
+selection behind the lineage-based one in ``gridchain.consensus``, and the
+per-receiver block delivery behind the simulator's one event per arrival
+time and one header check per block."""
 
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from gridchain.chain import BlockHeader, BlockTree, Transaction
-from gridchain.consensus import MAX_UNCLE_GENERATIONS, MAX_UNCLES_PER_BLOCK
-from gridchain.netsim import SimConfig, build_tx_table
+from gridchain.chain import Block, BlockHeader, BlockTree, Transaction
+from gridchain.consensus import MAX_UNCLE_GENERATIONS, MAX_UNCLES_PER_BLOCK, validate_header
+from gridchain.netsim import EventKind, SimConfig, Simulation, build_tx_table
 
 
 def generate_tx_arrivals(
@@ -87,3 +89,35 @@ def eligible_uncles(tree: BlockTree, new_parent: str) -> list[str]:
             if len(out) == MAX_UNCLES_PER_BLOCK:
                 break
     return out
+
+
+class PerReceiverSimulation(Simulation):
+    """The simulator with one delivery event per (block, receiver), pushed
+    in receiver order, and a full header check at every receiver."""
+
+    def _broadcast(self, block: Block, sender: int, now: float) -> None:
+        for dst in range(self.config.num_nodes):
+            if dst != sender:
+                self._push(now + self.config.delay(sender, dst), EventKind.BLOCK_RECEIVED,
+                           (dst,), block)
+
+    def on_block_received(self, node_index: int, block: Block, now: float,
+                          reschedule: bool = True) -> None:
+        node = self.nodes[node_index]
+        queue = [block]
+        while queue:
+            b = queue.pop(0)
+            if b.block_id in node.tree:
+                continue
+            if b.header.parent_id not in node.tree:
+                node.orphans.setdefault(b.header.parent_id, []).append(b)
+                continue
+            if not validate_header(self.params, node.tree, b.header):
+                raise AssertionError(f"invalid header broadcast: {b.block_id}")
+            node.tree.insert_block(b)
+            seq = node.note_received(b.block_id)
+            self._trace(now, "received", node.index, b)
+            key = (-node.tree.total_difficulty[b.block_id], seq, b.block_id)
+            if key < node.head_key:
+                self._reorg(node, b, key, now, reschedule)
+            queue.extend(node.orphans.pop(b.block_id, ()))

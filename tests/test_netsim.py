@@ -25,8 +25,8 @@ from gridchain.netsim import (
     sample_mining_time,
 )
 
-from conftest import addr, tx
-from oracles import fill_block, generate_tx_arrivals
+from conftest import addr, line_link_delays, tx
+from oracles import PerReceiverSimulation, fill_block, generate_tx_arrivals
 
 
 def small_config(**overrides):
@@ -470,6 +470,76 @@ class TestEventSemantics:
         child = sim.on_block_mined(0, 3.0)
         assert child.header.parent_id == a1.block_id
         assert child.header.uncle_ids == (b1.block_id,)
+
+
+def _traced_run(sim_class, config):
+    buf = io.StringIO()
+    result = sim_class(config, 0, trace=buf).run()
+    return buf.getvalue(), repr(result.stats), result.heads
+
+
+class TestDelivery:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        weights=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+        lambda_=st.integers(1, 4),
+        delay=st.floats(0.0, 2.0),
+        positions=st.none() | st.lists(st.floats(0.0, 3.0), min_size=5, max_size=5),
+        base=st.floats(0.05, 1.0),
+        tx_rate=st.floats(0.0, 30.0),
+        gas_range=st.tuples(st.integers(1_000, 60_000), st.integers(0, 200_000)),
+        duration=st.floats(20.0, 150.0),
+    )
+    def test_matches_per_receiver_oracle(self, seed, weights, lambda_, delay, positions,
+                                         base, tx_rate, gas_range, duration):
+        lo, span = gas_range
+
+        def sampler(rng, n):
+            return rng.integers(lo, lo + span + 1, size=n)
+
+        n = len(weights)
+        links = None if positions is None else line_link_delays(positions[:n], base)
+        config = SimConfig(lambda_=lambda_, num_nodes=n,
+                           hash_shares=tuple(w / sum(weights) for w in weights),
+                           propagation_delay=delay, link_delays=links, tx_rate=tx_rate,
+                           block_gas_limit=300_000, mean_tx_gas=lo,
+                           sim_duration=duration, warmup_blocks=3, seed=seed,
+                           tx_gas_sampler=sampler)
+        assert _traced_run(Simulation, config) == _traced_run(PerReceiverSimulation, config)
+
+    def test_each_header_is_validated_once(self):
+        config = small_config(lambda_=1, num_nodes=5, propagation_delay=1.5, tx_rate=5.0,
+                              sim_duration=200.0,
+                              link_delays=line_link_delays((0.0, 0.2, 0.9, 1.4, 2.0), 0.3))
+        buf = io.StringIO()
+        with mock.patch.object(netsim, "validate_header",
+                               wraps=netsim.validate_header) as validate:
+            result = run_simulation(config, 0, trace=buf)
+        mined = [line.split(",")[3] for line in buf.getvalue().splitlines()
+                 if ",mined," in line]
+        assert result.stats.included_uncles > 0
+        assert sorted(call.args[2].block_id for call in validate.call_args_list) == sorted(mined)
+
+    def test_validated_block_missing_an_uncle_still_raises(self):
+        sim = Simulation(small_config(tx_rate=0.0), 0)
+        a1 = sim.on_block_mined(0, 1.0)
+        b1 = sim.on_block_mined(1, 1.1)  # a sibling of a1
+        sim.on_block_received(0, b1, 1.35)
+        child = sim.on_block_mined(0, 3.0)
+        assert child.header.uncle_ids == (b1.block_id,)
+        sim.on_block_received(1, a1, 1.25)
+        sim.on_block_received(2, a1, 1.25)  # node 2 never gets b1
+        sim.on_block_received(1, child, 3.25)
+        assert child.block_id in sim.validated
+        with mock.patch.object(netsim, "validate_header") as validate:
+            with pytest.raises(AssertionError, match="invalid header broadcast"):
+                sim.on_block_received(2, child, 3.25)
+        validate.assert_not_called()
+        assert child.block_id not in sim.nodes[2].tree
+        sim.on_block_received(2, b1, 3.5)
+        sim.on_block_received(2, child, 3.5)
+        assert sim.nodes[2].head_block.block_id == child.block_id
 
 
 class TestInjectedTransactions:
