@@ -3,8 +3,9 @@
 Each cell hashes (sha256) one output that a refactor or speed-up must leave
 byte-identical: a small sweep CSV, ``repr(RunStats)`` with every node's head
 for a few (config, run) cells, the ``--trace`` CSV (every mined and received
-block, in event order) of two fork-heavy cells, and the registry dump of a
-short end-to-end demo. A change that moves results on purpose re-pins the affected cells and
+block, in event order) of two fork-heavy cells, the registry dump of a
+short end-to-end demo, and the files and standard output of four command
+lines. A change that moves results on purpose re-pins the affected cells and
 names them, with the reason, in CHANGES.md.
 """
 
@@ -13,7 +14,7 @@ import io
 
 import pytest
 
-from gridchain.cli import ExperimentSpec, run_e2e_demo
+from gridchain.cli import EXIT_OK, ExperimentSpec, main, run_e2e_demo
 from gridchain.contract import dump_state
 from gridchain.metrics import aggregate_runs, write_sweep_csv
 from gridchain.netsim import SimConfig, run_many, run_simulation
@@ -75,6 +76,43 @@ PINNED = {
     "demo-state": "9f00beaae89ba3d3fb98eb9b1c80f167334f1f13b38b840c5aaf586c6778390b",
 }
 
+SWEEP_CONF = """\
+mode = sweep
+sweep = 1,3
+nodes = 2
+hash-shares = 0.7,0.3
+workers = 2
+duration = 300
+runs = 2
+seed = 5
+warmup-blocks = 10
+total-hashrate = 262144
+"""
+
+# name -> (command line, output files hashed in order, whether stdout is
+# hashed); "{dir}" is the temporary directory the command runs in.
+CLI_CELLS = {
+    "cli-single": (
+        "--mode single --lambda 2 --duration 300 --runs 2 --seed 4 --out {dir}/single.csv",
+        ["single.csv"], False),
+    "cli-single-trace": (
+        "--mode single --lambda 1 --nodes 4 --delay 1.5 --tx-rate 10 --duration 300 "
+        "--runs 2 --seed 6 --trace --out {dir}/single.csv",
+        ["single.csv", "trace_run0.csv", "trace_run1.csv"], False),
+    "cli-sweep-config": (
+        "--config {dir}/sweep.conf --out {dir}/sweep.csv", ["sweep.csv"], False),
+    "cli-mainnet-compare": (
+        "--mode mainnet-compare --duration 2500 --runs 2 --seed 7 --out {dir}/mainnet.csv",
+        ["mainnet.csv"], True),
+}
+
+CLI_PINNED = {
+    "cli-single": "fdaa8ccdaf5f3fb54c5e1c4bdfd7c08e59393f5e228350c3c594e5faff292741",
+    "cli-single-trace": "b7d258755fa768f569928666f8eac7a719238e566424b0ba34be22aca36199dd",
+    "cli-sweep-config": "3a8645b5ba89f3047f787870afc7520d7ff344d4e8656af9b3f5a8e50a23ec2a",
+    "cli-mainnet-compare": "b9b06568e2b28ee9525e9dcf1113f8ca7fc52609cd260a0bab07a3a3b90a97b4",
+}
+
 
 def run_fingerprint(config: SimConfig, run_index: int) -> str:
     result = run_simulation(config, run_index)
@@ -114,6 +152,22 @@ def fingerprint(name: str) -> str:
     return run_fingerprint(*RUN_CELLS[name])
 
 
+def cli_fingerprint(name: str, tmp_path, capsys) -> str:
+    command, files, with_stdout = CLI_CELLS[name]
+    (tmp_path / "sweep.conf").write_text(SWEEP_CONF, encoding="utf-8")
+    capsys.readouterr()
+    assert main(command.format(dir=tmp_path).split()) == EXIT_OK
+    parts = [f"{f}\n" + (tmp_path / f).read_text(encoding="utf-8") for f in files]
+    if with_stdout:
+        parts.append("stdout\n" + capsys.readouterr().out)
+    return _sha("".join(parts))
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_golden_fingerprint(name):
     assert fingerprint(name) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_PINNED))
+def test_cli_fingerprint(name, tmp_path, capsys):
+    assert cli_fingerprint(name, tmp_path, capsys) == CLI_PINNED[name]
