@@ -12,10 +12,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-# Fixed header overhead added to the sum of transaction sizes when a block
-# size is needed for propagation modelling.
-DEFAULT_HEADER_OVERHEAD_KB = 0.5
-
 # Ancestors kept per block in ``BlockTree.lineage``: the uncle window of
 # ``consensus.MAX_UNCLE_GENERATIONS`` generations.
 LINEAGE_ANCESTORS = 7
@@ -141,9 +137,6 @@ class Block:
     def number(self) -> int:
         return self.header.number
 
-    def size_kb(self, header_overhead_kb: float = DEFAULT_HEADER_OVERHEAD_KB) -> float:
-        return header_overhead_kb + sum(t.size_kb for t in self.transactions)
-
 
 def payload_transactions(block: Block) -> Iterable[Transaction]:
     """The block's transactions that may carry a payload, in block order.
@@ -176,6 +169,26 @@ def header_digest(
     return h.hexdigest()
 
 
+def assemble_block(
+    number: int,
+    parent_id: str,
+    miner: int,
+    difficulty: int,
+    timestamp: int,
+    uncle_ids: Sequence[str],
+    tx_ids: tuple[int, ...],
+    gas_used: int,
+    transactions: Sequence[Transaction],
+) -> Block:
+    """The block constructor: the header, whose id digests its contents and
+    ``tx_ids``, over ``transactions`` (the transactions of ``tx_ids``)."""
+    uncle_ids = tuple(uncle_ids)
+    block_id = header_digest(number, parent_id, miner, difficulty, timestamp, uncle_ids, tx_ids)
+    header = BlockHeader(block_id, number, parent_id, miner, difficulty, timestamp, uncle_ids,
+                         gas_used)
+    return Block(header=header, transactions=transactions, tx_ids=tx_ids)
+
+
 def make_block(
     number: int,
     parent_id: str,
@@ -187,20 +200,8 @@ def make_block(
 ) -> Block:
     """Assemble a block from explicit transactions (test/library path)."""
     txs = tuple(transactions)
-    tx_ids = tuple(t.tx_id for t in txs)
-    gas_used = sum(t.gas for t in txs)
-    block_id = header_digest(number, parent_id, miner, difficulty, timestamp, uncle_ids, tx_ids)
-    header = BlockHeader(
-        block_id=block_id,
-        number=number,
-        parent_id=parent_id,
-        miner=miner,
-        difficulty=difficulty,
-        timestamp=timestamp,
-        uncle_ids=tuple(uncle_ids),
-        gas_used=gas_used,
-    )
-    return Block(header=header, transactions=txs, tx_ids=tx_ids)
+    return assemble_block(number, parent_id, miner, difficulty, timestamp, uncle_ids,
+                          tuple(t.tx_id for t in txs), sum(t.gas for t in txs), txs)
 
 
 def make_genesis(difficulty: int, timestamp: int = 0) -> Block:

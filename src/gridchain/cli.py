@@ -1,9 +1,11 @@
 """Experiment runner: single runs, threshold sweeps, a public-network
-comparison point, and the end-to-end meter-to-chain demo.
+comparison point (a single run at a preset), and the end-to-end
+meter-to-chain demo.
 
 Configuration comes from defaults, then an optional flat ``key=value`` file,
-then command-line flags (flags win). CSV output follows the schema in
-:mod:`gridchain.metrics`; progress goes to standard error.
+then command-line flags (flags win); ``OPTIONS`` lists every setting once.
+CSV output follows the schema in :mod:`gridchain.metrics`; progress goes to
+standard error.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
@@ -45,8 +47,9 @@ MODES = ("single", "sweep", "mainnet-compare", "e2e-demo")
 # as a directional comparison: ~14.05 tx/s at a ~17.5% uncle rate.
 MAINNET_REFERENCE_TPS = 14.05
 MAINNET_REFERENCE_UNCLE_RATE = 0.1748
-MAINNET_MEAN_DELAY_S = 12.6
-MAINNET_LAMBDA = 9
+# mainnet-compare runs single at this preset: three equal miners, the
+# unmodified threshold of 9 and the published ~12.6 s mean delay.
+MAINNET_PRESET = dict(num_nodes=3, hash_shares=None, lambda_=9, propagation_delay=12.6)
 
 
 class ConfigFileError(ValueError):
@@ -76,23 +79,54 @@ class ExperimentSpec:
         self.config.validate()
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigFileError(f"invalid {what}: {text!r}") from exc
+# argparse names the parser function in its error message.
+def int_list(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigFileError(f"invalid {what}: {text!r}") from exc
+def float_list(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip() != ""]
 
 
-def read_config_file(path: str) -> dict[str, str]:
-    """Flat ``key = value`` file; blank lines and '#' comments ignored."""
-    values: dict[str, str] = {}
+def boolean(text: str) -> bool:
+    if text.lower() not in ("0", "1", "true", "false", "yes", "no"):
+        raise ValueError(text)
+    return text.lower() in ("1", "true", "yes")
+
+
+# Every option, as ``--name-with-dashes`` on the command line and as
+# ``name`` (dashes or underscores) in the config file:
+# name -> (parser, SimConfig field or None, help).
+OPTIONS = {
+    "mode": (str, None, f"one of {', '.join(MODES)} (default single)"),
+    "lambda": (int, "lambda_", "difficulty threshold in seconds"),
+    "sweep": (int_list, None, "comma-separated thresholds for sweep mode"),
+    "nodes": (int, "num_nodes", "number of miners"),
+    "hash_shares": (float_list, "hash_shares", "comma-separated per-node hashrate fractions"),
+    "delay": (float, "propagation_delay", "block propagation delay in seconds"),
+    "tx_rate": (float, "tx_rate", "transactions created per second"),
+    "gas_limit": (int, "block_gas_limit", "block gas limit"),
+    "tx_gas": (int, "mean_tx_gas", "gas per transaction"),
+    "duration": (float, "sim_duration", "simulated seconds per run"),
+    "runs": (int, "num_runs", "independent runs per threshold"),
+    "seed": (int, "seed", "base seed; run i draws from (seed, i)"),
+    "out": (str, None, "output file"),
+    "trace": (boolean, None, "write per-run block event traces next to the output"),
+    "total_hashrate": (float, "total_hashrate", "difficulty solved per second, all miners"),
+    "tx_size_kb": (float, "tx_size_kb", "transaction size in kB"),
+    "warmup_blocks": (int, "warmup_blocks", "canonical blocks left out of the statistics"),
+    "initial_difficulty": (int, "initial_difficulty",
+                           "genesis difficulty (default: the equilibrium estimate)"),
+    "workers": (int, None, "parallel runs; the output does not depend on it"),
+    "meter_interval": (int, None, "e2e-demo: seconds between meter readings"),
+    "meter_file": (str, None, "e2e-demo: input stream, device_id,unix_time,kwh per line"),
+}
+
+
+def read_config_file(path: str) -> dict[str, object]:
+    """Parsed values of a flat ``key = value`` file; blank lines and '#'
+    comments ignored."""
+    values: dict[str, object] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -104,56 +138,14 @@ def read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigFileError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip().lower().replace("-", "_")
-        values[key] = value.strip()
-    return values
-
-
-_FILE_KEYS = {
-    "mode": str,
-    "lambda": int,
-    "sweep": "int_list",
-    "nodes": int,
-    "hash_shares": "float_list",
-    "delay": float,
-    "tx_rate": float,
-    "gas_limit": int,
-    "tx_gas": int,
-    "duration": float,
-    "runs": int,
-    "seed": int,
-    "out": str,
-    "trace": "bool",
-    "total_hashrate": float,
-    "tx_size_kb": float,
-    "warmup_blocks": int,
-    "initial_difficulty": int,
-    "workers": int,
-    "meter_interval": int,
-    "meter_file": str,
-}
-
-
-def _coerce_file_values(path: str, raw: dict[str, str]) -> dict[str, object]:
-    out: dict[str, object] = {}
-    for key, value in raw.items():
-        if key not in _FILE_KEYS:
+        key, value = key.strip().lower().replace("-", "_"), value.strip()
+        if key not in OPTIONS:
             raise ConfigFileError(f"{path}: unknown config key {key!r}")
-        kind = _FILE_KEYS[key]
         try:
-            if kind == "int_list":
-                out[key] = _parse_int_list(value, key)
-            elif kind == "float_list":
-                out[key] = _parse_float_list(value, key)
-            elif kind == "bool":
-                if value.lower() not in ("0", "1", "true", "false", "yes", "no"):
-                    raise ValueError(value)
-                out[key] = value.lower() in ("1", "true", "yes")
-            else:
-                out[key] = kind(value)
+            values[key] = OPTIONS[key][0](value)
         except ValueError as exc:
             raise ConfigFileError(f"{path}: invalid value for {key!r}: {value!r}") from exc
-    return out
+    return values
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -162,88 +154,36 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Private proof-of-work chain simulator with a tunable "
         "difficulty threshold and an encrypted meter-record pipeline.",
     )
-    parser.add_argument("--mode", choices=MODES, default=None)
-    parser.add_argument("--lambda", dest="lam", type=int, default=None,
-                        help="difficulty threshold in seconds")
-    parser.add_argument("--sweep", type=str, default=None,
-                        help="comma-separated thresholds for sweep mode")
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--hash-shares", type=str, default=None,
-                        help="comma-separated per-node hashrate fractions")
-    parser.add_argument("--delay", type=float, default=None,
-                        help="block propagation delay in seconds")
-    parser.add_argument("--tx-rate", type=float, default=None,
-                        help="transactions created per second")
-    parser.add_argument("--gas-limit", type=int, default=None)
-    parser.add_argument("--tx-gas", type=int, default=None)
-    parser.add_argument("--duration", type=float, default=None,
-                        help="simulated seconds per run")
-    parser.add_argument("--runs", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None)
+    for name, (parse, _field, help_text) in OPTIONS.items():
+        flag = "--" + name.replace("_", "-")
+        if parse is boolean:
+            parser.add_argument(flag, dest=name, action="store_true", default=None,
+                                help=help_text)
+        else:
+            parser.add_argument(flag, dest=name, type=parse, default=None, help=help_text)
     parser.add_argument("--config", type=str, default=None,
-                        help="flat key=value config file")
-    parser.add_argument("--trace", action="store_true", default=None,
-                        help="write per-run block event traces next to the output")
+                        help="flat key=value config file; flags override it")
     return parser
 
 
 def parse_config(argv: list[str] | None = None) -> ExperimentSpec:
     """Merge defaults, config file and flags into an ExperimentSpec."""
-    args = build_arg_parser().parse_args(argv)
-    file_values: dict[str, object] = {}
-    if args.config is not None:
-        file_values = _coerce_file_values(args.config, read_config_file(args.config))
-
-    def pick(flag_value, file_key: str, default):
-        if flag_value is not None:
-            return flag_value
-        if file_key in file_values:
-            return file_values[file_key]
-        return default
-
-    base = SimConfig()
-    config = dataclasses.replace(
-        base,
-        lambda_=pick(args.lam, "lambda", base.lambda_),
-        num_nodes=pick(args.nodes, "nodes", base.num_nodes),
-        propagation_delay=pick(args.delay, "delay", base.propagation_delay),
-        tx_rate=pick(args.tx_rate, "tx_rate", base.tx_rate),
-        block_gas_limit=pick(args.gas_limit, "gas_limit", base.block_gas_limit),
-        mean_tx_gas=pick(args.tx_gas, "tx_gas", base.mean_tx_gas),
-        sim_duration=pick(args.duration, "duration", base.sim_duration),
-        num_runs=pick(args.runs, "runs", base.num_runs),
-        seed=pick(args.seed, "seed", base.seed),
-        total_hashrate=file_values.get("total_hashrate", base.total_hashrate),
-        tx_size_kb=file_values.get("tx_size_kb", base.tx_size_kb),
-        warmup_blocks=file_values.get("warmup_blocks", base.warmup_blocks),
-        initial_difficulty=file_values.get("initial_difficulty", base.initial_difficulty),
-    )
-    shares_text = args.hash_shares
-    if shares_text is not None:
-        config = dataclasses.replace(
-            config, hash_shares=tuple(_parse_float_list(shares_text, "hash-shares"))
-        )
-    elif "hash_shares" in file_values:
-        config = dataclasses.replace(config, hash_shares=tuple(file_values["hash_shares"]))
-
-    sweep_text = args.sweep
-    if sweep_text is not None:
-        sweep = _parse_int_list(sweep_text, "sweep")
-    elif "sweep" in file_values:
-        sweep = list(file_values["sweep"])
-    else:
-        sweep = []
-
+    args = vars(build_arg_parser().parse_args(argv))
+    path = args.pop("config")
+    values = read_config_file(path) if path is not None else {}
+    values.update((name, value) for name, value in args.items() if value is not None)
+    config = dataclasses.replace(SimConfig(), **{
+        OPTIONS[name][1]: value for name, value in values.items() if OPTIONS[name][1]
+    })
     return ExperimentSpec(
-        mode=pick(args.mode, "mode", "single"),
+        mode=values.get("mode", "single"),
         config=config,
-        sweep_lambdas=sweep,
-        output_path=pick(args.out, "out", None),
-        trace=bool(pick(args.trace, "trace", False)),
-        workers=int(file_values.get("workers", 1)),
-        meter_interval_s=int(file_values.get("meter_interval", 5)),
-        meter_stream_file=file_values.get("meter_file"),
+        sweep_lambdas=values.get("sweep", []),
+        output_path=values.get("out"),
+        trace=values.get("trace", False),
+        workers=values.get("workers", 1),
+        meter_interval_s=values.get("meter_interval", 5),
+        meter_stream_file=values.get("meter_file"),
     )
 
 
@@ -257,74 +197,62 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def sweep_points(spec: ExperimentSpec, lambdas: list[int]) -> list[SweepPoint]:
-    points = []
-    for lam in lambdas:
-        config = dataclasses.replace(spec.config, lambda_=int(lam))
-        stats = run_many(config, workers=spec.workers)
-        point = aggregate_runs(stats, lambda_=int(lam))
-        _progress(
-            f"lambda={lam}: interval {point.mean('mean_block_interval'):.3f} s, "
-            f"throughput {point.mean('throughput'):.2f} tx/s, "
-            f"uncle rate {point.mean('uncle_rate') * 100:.2f}% "
-            f"({point.runs} runs)"
-        )
-        points.append(point)
-    return points
+def _aggregate(stats: list[RunStats], lam: int) -> SweepPoint:
+    """One CSV row from the runs at threshold ``lam``, reported as progress."""
+    point = aggregate_runs(stats, lambda_=int(lam))
+    _progress(
+        f"lambda={lam}: interval {point.mean('mean_block_interval'):.3f} s, "
+        f"throughput {point.mean('throughput'):.2f} tx/s, "
+        f"uncle rate {point.mean('uncle_rate') * 100:.2f}% "
+        f"({point.runs} runs)"
+    )
+    return point
+
+
+def _write_csv(out: Path, points: list[SweepPoint]) -> Path:
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        write_sweep_csv(points, fh)
+    _progress(f"wrote {out}")
+    return out
 
 
 def run_sweep(spec: ExperimentSpec) -> Path:
     """One CSV row per threshold in ``spec.sweep_lambdas``."""
-    out = _resolve_output(spec, "sweep.csv")
-    points = sweep_points(spec, spec.sweep_lambdas)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        write_sweep_csv(points, fh)
-    _progress(f"wrote {out}")
-    return out
+    points = [
+        _aggregate(run_many(dataclasses.replace(spec.config, lambda_=int(lam)),
+                            workers=spec.workers), lam)
+        for lam in spec.sweep_lambdas
+    ]
+    return _write_csv(_resolve_output(spec, "sweep.csv"), points)
 
 
 def run_single(spec: ExperimentSpec) -> Path:
-    out = _resolve_output(spec, "single.csv")
+    """One CSV row at the configured threshold, or at ``MAINNET_PRESET``
+    with the public-network reference printed beside it. With ``trace``,
+    each run writes its event trace next to the output, and the statistics
+    come from those same runs."""
+    mainnet = spec.mode == "mainnet-compare"
+    config = dataclasses.replace(spec.config, **MAINNET_PRESET) if mainnet else spec.config
+    out = _resolve_output(spec, "mainnet_compare.csv" if mainnet else "single.csv")
     if spec.trace:
-        trace_dir = out.parent
-        for idx in range(spec.config.num_runs):
-            trace_file = trace_dir / f"trace_run{idx}.csv"
+        stats = []
+        for idx in range(config.num_runs):
+            trace_file = out.parent / f"trace_run{idx}.csv"
             with open(trace_file, "w", encoding="utf-8", newline="\n") as fh:
-                run_simulation(spec.config, idx, trace=fh)
-        _progress(f"wrote {spec.config.num_runs} trace files to {trace_dir}")
-    points = sweep_points(spec, [int(spec.config.lambda_)])
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        write_sweep_csv(points, fh)
-    _progress(f"wrote {out}")
-    return out
-
-
-def run_mainnet_compare(spec: ExperimentSpec) -> Path:
-    """Directional comparison against the public-network reference point:
-    three nodes, the unmodified threshold of 9, and the published ~12.6 s
-    mean propagation delay."""
-    out = _resolve_output(spec, "mainnet_compare.csv")
-    config = dataclasses.replace(
-        spec.config,
-        num_nodes=3,
-        hash_shares=None,
-        lambda_=MAINNET_LAMBDA,
-        propagation_delay=MAINNET_MEAN_DELAY_S,
-    )
-    compare_spec = dataclasses.replace(spec, config=config)
-    points = sweep_points(compare_spec, [MAINNET_LAMBDA])
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        write_sweep_csv(points, fh)
-    point = points[0]
-    print(
-        "public-network reference: "
-        f"{MAINNET_REFERENCE_TPS:.2f} tx/s at {MAINNET_REFERENCE_UNCLE_RATE * 100:.2f}% uncles; "
-        f"simulated: {point.mean('throughput'):.2f} tx/s at "
-        f"{point.mean('uncle_rate') * 100:.2f}% uncles "
-        f"(interval {point.mean('mean_block_interval'):.2f} s)"
-    )
-    _progress(f"wrote {out}")
-    return out
+                stats.append(run_simulation(config, idx, trace=fh).stats)
+        _progress(f"wrote {config.num_runs} trace files to {out.parent}")
+    else:
+        stats = run_many(config, workers=spec.workers)
+    point = _aggregate(stats, config.lambda_)
+    if mainnet:
+        print(
+            "public-network reference: "
+            f"{MAINNET_REFERENCE_TPS:.2f} tx/s at {MAINNET_REFERENCE_UNCLE_RATE * 100:.2f}% "
+            f"uncles; simulated: {point.mean('throughput'):.2f} tx/s at "
+            f"{point.mean('uncle_rate') * 100:.2f}% uncles "
+            f"(interval {point.mean('mean_block_interval'):.2f} s)"
+        )
+    return _write_csv(out, [point])
 
 
 @dataclass
@@ -444,16 +372,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = parse_config(argv)
         spec.validate()
-    except (ConfigFileError, InvalidConfig, NotImplementedError) as exc:
+    except (ConfigFileError, InvalidConfig) as exc:
         print(f"gridchain: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if spec.mode == "single":
-            run_single(spec)
-        elif spec.mode == "sweep":
+        if spec.mode == "sweep":
             run_sweep(spec)
-        elif spec.mode == "mainnet-compare":
-            run_mainnet_compare(spec)
+        elif spec.mode != "e2e-demo":
+            run_single(spec)
         else:
             report = run_e2e_demo(spec)
             for line in report.lines():

@@ -50,6 +50,7 @@ class RunStats:
     warmup_blocks_discarded: int
     # Conservation partition over every generated transaction (whole run,
     # not just the post-warm-up segment): confirmed + pending + uncle-only.
+    # A simulator run delivers every transaction first, so uncle-only is 0.
     generated_tx: int = 0
     confirmed_tx_total: int = 0
     uncle_only_tx: int = 0

@@ -34,11 +34,11 @@ import numpy as np
 from .chain import (
     Address,
     Block,
-    BlockHeader,
     BlockTree,
     Transaction,
     _TxSlice,
-    header_digest,
+    assemble_block,
+    header_digest,  # noqa: F401  (bench/layers.py times netsim.header_digest)
     make_genesis,
 )
 from .consensus import (
@@ -92,8 +92,6 @@ class SimConfig:
     link_delays: dict[tuple[int, int], float] | None = None
     # Optional gas distribution: callable(rng, n) -> int array.
     tx_gas_sampler: Callable | None = None
-    # Literal heaviest-subtree fork choice; accepted but not implemented.
-    ghost_subtree: bool = False
 
     def __post_init__(self) -> None:
         if self.hash_shares is not None:
@@ -138,11 +136,16 @@ class SimConfig:
             raise InvalidConfig("warmup_blocks must be non-negative")
         if self.initial_difficulty is not None and self.initial_difficulty < MIN_DIFFICULTY:
             raise InvalidConfig(f"initial_difficulty must be >= {MIN_DIFFICULTY}")
-        if self.ghost_subtree:
-            raise NotImplementedError(
-                "literal heaviest-subtree fork choice is a stub; use the default "
-                "total-difficulty rule"
-            )
+        if self.link_delays is not None:
+            # Blocks are not relayed, so a block reaches a node no later than
+            # one that references it only if no two-hop path is faster.
+            d = self.delay
+            for i, j, k in itertools.permutations(range(self.num_nodes), 3):
+                if d(i, k) > d(i, j) + d(j, k):
+                    raise InvalidConfig(
+                        f"link_delays break the triangle inequality: delay({i},{k}) > "
+                        f"delay({i},{j}) + delay({j},{k})"
+                    )
 
     def difficulty_params(self) -> DifficultyParams:
         return DifficultyParams(lambda_=int(self.lambda_))
@@ -293,6 +296,9 @@ def build_tx_table(
         stat_gas = np.asarray(config.tx_gas_sampler(rng, n_stat), dtype=np.int64)
         if len(stat_gas) != n_stat or (stat_gas <= 0).any():
             raise InvalidConfig("tx_gas_sampler must return positive gas per transaction")
+        if (stat_gas > config.block_gas_limit).any():
+            # fill stops at the first misfit, so it would block the pool for good
+            raise InvalidConfig("tx_gas_sampler drew gas above the block gas limit")
     else:
         stat_gas = np.full(n_stat, config.mean_tx_gas, dtype=np.int64)
 
@@ -525,32 +531,6 @@ class Simulation:
         dt = sample_mining_time(self.rng, trace.result, self.hashrates[node.index])
         self._push(now + dt, EventKind.BLOCK_MINED, node.index, epoch=node.epoch)
 
-    def _build_block(
-        self,
-        number: int,
-        parent_id: str,
-        miner: int,
-        difficulty: int,
-        timestamp: int,
-        uncle_ids: Sequence[str],
-        tx_ids: Sequence[int],
-        gas_used: int,
-    ) -> Block:
-        ids = tuple(tx_ids)
-        block_id = header_digest(number, parent_id, miner, difficulty, timestamp, uncle_ids, ids)
-        self.tx_arrays[block_id] = np.array(ids, dtype=np.intp)
-        header = BlockHeader(
-            block_id=block_id,
-            number=number,
-            parent_id=parent_id,
-            miner=miner,
-            difficulty=difficulty,
-            timestamp=timestamp,
-            uncle_ids=tuple(uncle_ids),
-            gas_used=gas_used,
-        )
-        return Block(header=header, transactions=_TxSlice(self.table, ids), tx_ids=ids)
-
     def on_block_mined(self, node_index: int, now: float) -> Block:
         """Assemble and adopt a block on the node's current head, then
         broadcast it and restart mining on the new head."""
@@ -562,10 +542,10 @@ class Simulation:
         uncles = eligible_uncles(node.tree, parent.block_id)
         node.catch_up(now, self.config.propagation_delay)
         tx_ids, gas_used = node.fill(self.table.gas, self.config.block_gas_limit)
-        block = self._build_block(
-            number, parent.block_id, node.index, trace.result, timestamp, uncles,
-            tx_ids, gas_used,
-        )
+        ids = tuple(tx_ids)
+        block = assemble_block(number, parent.block_id, node.index, trace.result, timestamp,
+                               uncles, ids, gas_used, _TxSlice(self.table, ids))
+        self.tx_arrays[block.block_id] = np.array(ids, dtype=np.intp)
         node.tree.insert_block(block)
         seq = node.note_received(block.block_id)
         node.head_block = block
@@ -696,25 +676,16 @@ class Simulation:
         if chain_tx != confirmed_total:
             raise AssertionError("a transaction appears twice on the canonical chain")
         generated = self.table.count
-        # Uncle-only: on a block off the canonical chain, neither confirmed
-        # nor in node 0's pool (delivered, not on the chain).
-        stale = np.zeros(generated, dtype=np.bool_)
-        canonical_ids = {b.block_id for b in chain}
-        for bid in tree0.blocks:
-            if bid not in canonical_ids:
-                stale[self.tx_arrays[bid]] = True
-        uncle_only = int(np.count_nonzero(stale & ~node0.in_chain & ~node0.delivered()))
-        pending = generated - confirmed_total - uncle_only
-
+        # ``_settle`` delivered every transaction to node 0, so none is left
+        # only on a stale block: the uncle-only term is zero.
         stats = compute_run_stats(
             tree0,
             head0,
             duration,
             warmup=min(self.config.warmup_blocks, max(0, len(chain) - 2)),
-            pending_tx=pending,
+            pending_tx=generated - confirmed_total,
             generated_tx=generated,
             confirmed_tx_total=confirmed_total,
-            uncle_only_tx=uncle_only,
         )
         return RunResult(
             trees=[n.tree for n in self.nodes],

@@ -117,11 +117,6 @@ def test_gas_used_is_sum_of_transaction_gas():
     assert block.tx_ids == (1, 2)
 
 
-def test_block_size_includes_header_overhead():
-    block = make_block(1, "p", 0, 131072, 5, transactions=[tx(1), tx(2)])
-    assert block.size_kb() == pytest.approx(0.5 + 2 * 0.759808)
-
-
 @settings(max_examples=40, deadline=None)
 @given(difficulties=st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=30))
 def test_total_difficulty_matches_chain_replay(difficulties):

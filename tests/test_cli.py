@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -15,7 +16,7 @@ from gridchain.cli import (
     run_e2e_demo,
 )
 from gridchain.metrics import CSV_HEADER
-from gridchain.netsim import SimConfig
+from gridchain.netsim import SimConfig, Simulation
 
 
 FAST = [
@@ -74,6 +75,24 @@ class TestParseConfig:
             parse_config(["--config", conf])
         assert "velocity" in str(err.value)
 
+    def test_file_only_keys_are_flags_too(self, tmp_path):
+        conf = write_config(
+            tmp_path,
+            "total-hashrate = 65536\ntx-size-kb = 0.5\nwarmup-blocks = 7\n"
+            "initial-difficulty = 200000\nworkers = 2\nmeter-interval = 9\n"
+            "meter-file = m.csv\ntrace = yes\n",
+        )
+        from_file = parse_config(["--config", conf])
+        from_flags = parse_config([
+            "--total-hashrate", "65536", "--tx-size-kb", "0.5", "--warmup-blocks", "7",
+            "--initial-difficulty", "200000", "--workers", "2", "--meter-interval", "9",
+            "--meter-file", "m.csv", "--trace",
+        ])
+        assert from_flags == from_file
+        assert from_file.trace and from_file.workers == 2 and from_file.meter_interval_s == 9
+        assert from_file.config.warmup_blocks == 7
+        assert from_file.config.initial_difficulty == 200_000
+
     def test_flag_list_matches_design(self):
         parser = build_arg_parser()
         option_strings = {s for a in parser._actions for s in a.option_strings}
@@ -105,6 +124,12 @@ class TestMainExitCodes:
         with pytest.raises(SystemExit) as err:
             parse_config(["--runs", "many"])
         assert err.value.code == 2
+
+    def test_malformed_list_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            parse_config(["--sweep", "1,x"])
+        assert err.value.code == 2
+        assert "invalid int_list value: '1,x'" in capsys.readouterr().err
 
 
 class TestSweepCli:
@@ -142,6 +167,20 @@ class TestSweepCli:
         assert (tmp_path / "trace_run0.csv").exists()
         assert (tmp_path / "trace_run1.csv").exists()
 
+    def test_trace_simulates_each_run_once(self, tmp_path):
+        runs = []
+        original = Simulation.run
+
+        def counted(sim):
+            runs.append(sim.run_index)
+            return original(sim)
+
+        with mock.patch.object(Simulation, "run", counted):
+            code = main(["--mode", "single", "--lambda", "2", "--trace", "--duration", "60",
+                         "--runs", "3", "--seed", "2", "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_OK
+        assert runs == [0, 1, 2]
+
 
 class TestMainnetCompare:
     def test_directional_point(self, tmp_path, capsys):
@@ -154,6 +193,17 @@ class TestMainnetCompare:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "9"
+
+    def test_trace_is_honoured(self, tmp_path):
+        args = ["--mode", "mainnet-compare", "--duration", "200", "--runs", "2", "--seed", "5"]
+        plain, traced = tmp_path / "plain" / "m.csv", tmp_path / "traced" / "m.csv"
+        plain.parent.mkdir()
+        traced.parent.mkdir()
+        assert main(args + ["--out", str(plain)]) == EXIT_OK
+        assert main(args + ["--out", str(traced), "--trace"]) == EXIT_OK
+        assert traced.read_bytes() == plain.read_bytes()
+        assert (traced.parent / "trace_run1.csv").exists()
+        assert not (plain.parent / "trace_run0.csv").exists()
 
 
 class TestE2EDemo:

@@ -12,6 +12,7 @@ from gridchain import netsim
 from gridchain.chain import Address, Transaction, payload_transactions
 from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head
 from gridchain.contract import CallKind, ContractCall, dump_state, replay_chain
+from gridchain.metrics import ChainTooShort
 from gridchain.netsim import (
     InvalidConfig,
     NodeState,
@@ -55,9 +56,29 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig):
             SimConfig(lambda_=0).validate()
 
-    def test_subtree_fork_choice_is_stub(self):
-        with pytest.raises(NotImplementedError):
-            SimConfig(ghost_subtree=True).validate()
+    def test_link_delays_must_be_metric(self):
+        # 0.1 s links, but 3 s between nodes 0 and 2: a nephew would reach
+        # node 2 over two hops before its uncle arrives from node 0.
+        links = {(i, j): 0.1 for i in range(3) for j in range(3) if i != j}
+        links[(0, 2)] = links[(2, 0)] = 3.0
+        config = SimConfig(lambda_=1, num_nodes=3, link_delays=links, tx_rate=5.0,
+                           sim_duration=600.0)
+        with pytest.raises(InvalidConfig, match="triangle inequality"):
+            config.validate()
+        with pytest.raises(InvalidConfig, match="triangle inequality"):
+            run_simulation(config, 0)
+        two_hops = {**links, (0, 2): 0.2, (2, 0): 0.2}  # equality is allowed
+        dataclasses.replace(config, link_delays=two_hops).validate()
+
+    def test_sampled_gas_above_gas_limit_rejected(self):
+        def sampler(rng, n):
+            gas = rng.integers(40_000, 50_001, size=n)
+            gas[3] = 20_000_000
+            return gas
+
+        config = SimConfig(lambda_=3, sim_duration=300.0, tx_gas_sampler=sampler)
+        with pytest.raises(InvalidConfig, match="block gas limit"):
+            run_simulation(config, 0)
 
 
 class TestMiningTime:
@@ -473,9 +494,14 @@ class TestEventSemantics:
 
 
 def _traced_run(sim_class, config):
+    """The trace, the stats (or the error that refused them) and the heads."""
     buf = io.StringIO()
-    result = sim_class(config, 0, trace=buf).run()
-    return buf.getvalue(), repr(result.stats), result.heads
+    sim = sim_class(config, 0, trace=buf)
+    try:
+        stats = repr(sim.run().stats)
+    except ChainTooShort as exc:  # a short draw can mine fewer than two blocks
+        stats = repr(exc)
+    return buf.getvalue(), stats, [node.head_block.block_id for node in sim.nodes]
 
 
 class TestDelivery:
