@@ -172,12 +172,11 @@ def parse_config(argv: list[str] | None = None) -> ExperimentSpec:
     path = args.pop("config")
     values = read_config_file(path) if path is not None else {}
     values.update((name, value) for name, value in args.items() if value is not None)
-    config = dataclasses.replace(SimConfig(), **{
-        OPTIONS[name][1]: value for name, value in values.items() if OPTIONS[name][1]
-    })
     return ExperimentSpec(
         mode=values.get("mode", "single"),
-        config=config,
+        config=SimConfig(**{
+            OPTIONS[name][1]: value for name, value in values.items() if OPTIONS[name][1]
+        }),
         sweep_lambdas=values.get("sweep", []),
         output_path=values.get("out"),
         trace=values.get("trace", False),
