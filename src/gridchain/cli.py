@@ -25,6 +25,7 @@ from .chain import Transaction
 from .contract import CallKind, ContractCall, ReplayedState, replay_chain
 from .meter import (
     MeterAccount,
+    MeterError,
     build_record_tx,
     decrypt_record,
     encrypt_record,
@@ -32,7 +33,7 @@ from .meter import (
     simulate_meter_stream,
     unpack_record_fields,
 )
-from .metrics import RunStats, SweepPoint, aggregate_runs, write_sweep_csv
+from .metrics import ChainTooShort, RunStats, SweepPoint, aggregate_runs, write_sweep_csv
 from .netsim import InvalidConfig, SimConfig, run_many, run_simulation
 
 EXIT_OK = 0
@@ -347,7 +348,7 @@ def run_e2e_demo(spec: ExperimentSpec) -> DemoReport:
         try:
             enc = unpack_record_fields(reco.id, reco.time, reco.value)
             rec = decrypt_record(enc, key_by_addr[event.addr])
-        except Exception:
+        except MeterError:
             failures += 1
             continue
         if sent.get((rec.device_id, rec.collected_at)) == rec.energy_kwh:
@@ -387,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
                 Path(spec.output_path).write_text(
                     "\n".join(report.lines()) + "\n", encoding="utf-8"
                 )
-    except (ConfigFileError, InvalidConfig) as exc:
+    except (ConfigFileError, InvalidConfig, ChainTooShort) as exc:
         print(f"gridchain: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # runtime failure

@@ -7,7 +7,9 @@ ciphertexts are wrapped into a record-append transaction for the chain.
 Counter layout: every record draws a fresh 16-byte base counter whose last
 four bytes are zero; byte 12 carries the field index (0=id, 1=time, 2=value)
 and bytes 13..15 count keystream blocks big-endian, so the three fields of a
-record never share keystream and each field can span 2**24 blocks.
+record never share keystream and each field can span 2**24 blocks. A key
+is expanded once, when its SymmetricKey is made; a record's keystream comes
+from one AES call over the counter blocks of all three fields.
 
 The deployment being modelled reuses an account's private key as its AES
 key. That conflation is kept here (one 32-byte secret doubles as the address
@@ -17,7 +19,7 @@ seed) for fidelity; it is not a recommendation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -28,7 +30,6 @@ from .contract import CallKind, ContractCall
 KEY_LEN = 32
 COUNTER_LEN = 16
 NONCE_RANDOM_LEN = 12
-FIELD_ID, FIELD_TIME, FIELD_VALUE = 0, 1, 2
 
 # Default wire size of a record transaction (payload plus envelope), in kB.
 DEFAULT_RECORD_TX_KB = 0.759808
@@ -47,13 +48,37 @@ class MalformedPlaintext(MeterError):
     """Decryption produced bytes that do not decode; wrong key or corruption."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class SymmetricKey:
+    """A 32-byte AES-256 key, expanded once into a block-cipher context.
+
+    Equality and hashing use the key bytes alone; the repr hides them.
+    """
+
     bytes: bytes
+    _aes: object = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.bytes) != KEY_LEN:
             raise BadKeyLength(f"key must be {KEY_LEN} bytes, got {len(self.bytes)}")
+        # ECB over whole blocks is the bare AES block function, which is CTR's
+        # own: CTR encrypts each counter block and XORs the result into the
+        # data (NIST SP 800-38A section 6.5). Only distinct counter blocks are
+        # ever passed in, so no two outputs repeat a block.
+        object.__setattr__(
+            self, "_aes", Cipher(algorithms.AES(self.bytes), modes.ECB()).encryptor()
+        )
+
+    def __repr__(self) -> str:
+        return f"SymmetricKey(<{KEY_LEN} secret bytes>)"
+
+    def __reduce__(self):
+        # The cipher context does not pickle; a copy rebuilds it from the bytes.
+        return SymmetricKey, (self.bytes,)
+
+    def encrypt_blocks(self, blocks: bytes) -> bytes:
+        """AES-256 of each 16-byte block of ``blocks``, in one call."""
+        return self._aes.update(blocks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,10 +161,23 @@ def decode_record(id_bytes: bytes, time_bytes: bytes, value_bytes: bytes) -> Met
     return MeterRecord(device_id=device_id, collected_at=int(time_s), energy_kwh=energy)
 
 
-def _keystream_xor(data: bytes, key: SymmetricKey, counter0: bytes) -> bytes:
-    cipher = Cipher(algorithms.AES(key.bytes), modes.CTR(counter0))
-    enc = cipher.encryptor()
-    return enc.update(data) + enc.finalize()
+_COUNTER_MOD = 1 << (8 * COUNTER_LEN)
+
+
+def _counter_blocks(counter0: bytes, length: int) -> bytes:
+    """The counter blocks that cover ``length`` bytes: ``counter0 + j`` as a
+    128-bit big-endian integer mod 2**128, as the library's CTR mode counts."""
+    start = int.from_bytes(counter0, "big")
+    return b"".join(
+        ((start + j) % _COUNTER_MOD).to_bytes(COUNTER_LEN, "big")
+        for j in range(-(-length // COUNTER_LEN))
+    )
+
+
+def _xor(data: bytes, keystream: bytes) -> bytes:
+    """``data`` XOR the first ``len(data)`` bytes of ``keystream``."""
+    n = len(data)
+    return (int.from_bytes(data, "big") ^ int.from_bytes(keystream[:n], "big")).to_bytes(n, "big")
 
 
 def encrypt_field(plaintext: bytes, key: SymmetricKey, counter0: bytes) -> bytes:
@@ -150,9 +188,7 @@ def encrypt_field(plaintext: bytes, key: SymmetricKey, counter0: bytes) -> bytes
     """
     if len(counter0) != COUNTER_LEN:
         raise ValueError(f"counter block must be {COUNTER_LEN} bytes")
-    if not plaintext:
-        return b""
-    return _keystream_xor(plaintext, key, counter0)
+    return _xor(plaintext, key.encrypt_blocks(_counter_blocks(counter0, len(plaintext))))
 
 
 decrypt_field = encrypt_field  # CTR is its own inverse
@@ -167,25 +203,36 @@ def fresh_nonce(rng: random.Random) -> bytes:
     return rng.randbytes(NONCE_RANDOM_LEN) + b"\x00" * (COUNTER_LEN - NONCE_RANDOM_LEN)
 
 
+def _crypt_record_fields(
+    fields: tuple[bytes, bytes, bytes], key: SymmetricKey, nonce: bytes
+) -> tuple[bytes, bytes, bytes]:
+    """Counter-mode transform of the three fields of one record, with the
+    counter blocks of all three joined into one AES call."""
+    counters = [
+        _counter_blocks(field_counter(nonce, index), len(data))
+        for index, data in enumerate(fields)
+    ]
+    keystream = key.encrypt_blocks(b"".join(counters))
+    out = []
+    pos = 0
+    for data, blocks in zip(fields, counters):
+        out.append(_xor(data, keystream[pos:]))
+        pos += len(blocks)
+    return out[0], out[1], out[2]
+
+
 def encrypt_record(rec: MeterRecord, key: SymmetricKey, rng: random.Random) -> EncryptedRecord:
     """Encode then encrypt a reading under a fresh per-record nonce."""
-    id_b, time_b, value_b = encode_record(rec)
     nonce = fresh_nonce(rng)
-    return EncryptedRecord(
-        id_ct=encrypt_field(id_b, key, field_counter(nonce, FIELD_ID)),
-        time_ct=encrypt_field(time_b, key, field_counter(nonce, FIELD_TIME)),
-        value_ct=encrypt_field(value_b, key, field_counter(nonce, FIELD_VALUE)),
-        nonce=nonce,
-    )
+    id_ct, time_ct, value_ct = _crypt_record_fields(encode_record(rec), key, nonce)
+    return EncryptedRecord(id_ct=id_ct, time_ct=time_ct, value_ct=value_ct, nonce=nonce)
 
 
 def decrypt_record(enc: EncryptedRecord, key: SymmetricKey) -> MeterRecord:
     """Exact inverse of encrypt_record; MalformedPlaintext signals a wrong
     key or a corrupted/truncated ciphertext."""
-    id_b = decrypt_field(enc.id_ct, key, field_counter(enc.nonce, FIELD_ID))
-    time_b = decrypt_field(enc.time_ct, key, field_counter(enc.nonce, FIELD_TIME))
-    value_b = decrypt_field(enc.value_ct, key, field_counter(enc.nonce, FIELD_VALUE))
-    return decode_record(id_b, time_b, value_b)
+    fields = (enc.id_ct, enc.time_ct, enc.value_ct)
+    return decode_record(*_crypt_record_fields(fields, key, enc.nonce))
 
 
 def pack_record_fields(enc: EncryptedRecord) -> tuple[bytes, bytes, bytes]:

@@ -3,14 +3,17 @@ differential tests: the object-level transaction stream and block filling
 behind the id-level code in ``gridchain.netsim``, the per-candidate uncle
 selection behind the lineage-based one in ``gridchain.consensus``, and the
 per-receiver block delivery behind the simulator's one event per arrival
-time and one header check per block."""
+time and one header check per block, and the library's own AES-CTR mode,
+one cipher per field, behind the meter's one AES call per record."""
 
 from typing import Iterable, Iterator
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from gridchain.chain import Block, BlockHeader, BlockTree, Transaction
 from gridchain.consensus import MAX_UNCLE_GENERATIONS, MAX_UNCLES_PER_BLOCK, validate_header
+from gridchain.meter import SymmetricKey, field_counter
 from gridchain.netsim import EventKind, SimConfig, Simulation, build_tx_table
 
 
@@ -121,3 +124,21 @@ class PerReceiverSimulation(Simulation):
             if key < node.head_key:
                 self._reorg(node, b, key, now, reschedule)
             queue.extend(node.orphans.pop(b.block_id, ()))
+
+
+def ctr_keystream_xor(data: bytes, key: SymmetricKey, counter0: bytes) -> bytes:
+    """AES-256-CTR from ``counter0`` through the library's CTR mode, with a
+    new cipher for every call."""
+    enc = Cipher(algorithms.AES(key.bytes), modes.CTR(counter0)).encryptor()
+    return enc.update(data) + enc.finalize()
+
+
+def crypt_record_fieldwise(
+    fields: tuple[bytes, bytes, bytes], key: SymmetricKey, nonce: bytes
+) -> tuple[bytes, ...]:
+    """Each field of a record through ``ctr_keystream_xor`` on its own, from
+    its own field counter."""
+    return tuple(
+        ctr_keystream_xor(data, key, field_counter(nonce, index))
+        for index, data in enumerate(fields)
+    )

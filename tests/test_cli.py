@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 import gridchain
+from gridchain import cli
 from gridchain.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -15,6 +16,7 @@ from gridchain.cli import (
     parse_config,
     run_e2e_demo,
 )
+from gridchain.meter import MalformedPlaintext
 from gridchain.metrics import CSV_HEADER
 from gridchain.netsim import SimConfig, Simulation
 
@@ -119,6 +121,15 @@ class TestMainExitCodes:
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
+
+    def test_too_short_run_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # 3 s at lambda 12 mines fewer than two post-warm-up blocks
+        monkeypatch.chdir(tmp_path)
+        code = main(["--mode", "single", "--duration", "3", "--lambda", "12", "--runs", "1"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "two post-warm-up blocks" in err
 
     def test_argparse_rejects_bad_flag_value(self):
         with pytest.raises(SystemExit) as err:
@@ -235,6 +246,24 @@ class TestE2EDemo:
     def test_interval_within_regulation_band(self):
         report = run_e2e_demo(self.demo_spec())
         assert 2.0 <= report.stats.mean_block_interval <= 6.0
+
+    def test_corrupt_record_counts_as_decryption_failure(self, monkeypatch):
+        def corrupt(enc, key):
+            raise MalformedPlaintext("corrupt")
+
+        monkeypatch.setattr(cli, "decrypt_record", corrupt)
+        report = run_e2e_demo(self.demo_spec())
+        assert report.records_confirmed > 0
+        assert report.decryption_failures == report.records_confirmed
+        assert report.records_recovered == 0
+
+    def test_decrypt_bug_propagates(self, monkeypatch):
+        def buggy(enc, key):
+            raise TypeError("bug in the keystream code")
+
+        monkeypatch.setattr(cli, "decrypt_record", buggy)
+        with pytest.raises(TypeError, match="keystream"):
+            run_e2e_demo(self.demo_spec())
 
     def test_demo_mode_via_main(self, capsys):
         code = main(["--mode", "e2e-demo", "--lambda", "3", "--duration", "200",

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from decimal import Decimal
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridchain import meter
 from gridchain.contract import CallKind
 from gridchain.meter import (
     BadKeyLength,
@@ -21,6 +24,7 @@ from gridchain.meter import (
     encrypt_field,
     encrypt_record,
     field_counter,
+    fresh_nonce,
     load_meter_stream,
     pack_record_fields,
     save_meter_stream,
@@ -29,6 +33,7 @@ from gridchain.meter import (
 )
 
 from conftest import addr
+from oracles import crypt_record_fieldwise, ctr_keystream_xor
 
 # AES-256-CTR vectors published in NIST SP 800-38A (F.5.5 encrypt / F.5.6
 # decrypt): 256-bit key, standard initial counter block, four blocks.
@@ -90,6 +95,126 @@ class TestEncryptField:
             data = rng.randbytes(rng.randint(0, 4096))
             ctr = rng.randbytes(16)
             assert decrypt_field(encrypt_field(data, key, ctr), key, ctr) == data
+
+
+# Counter blocks as integers: anywhere, or within four blocks of a carry out
+# of the low 32 or 64 bits, or of the wrap at 2**128.
+COUNTERS = st.one_of(
+    st.integers(min_value=0, max_value=2**128 - 1),
+    st.integers(min_value=2**32 - 4, max_value=2**32 + 4),
+    st.integers(min_value=2**64 - 4, max_value=2**64 + 4),
+    st.integers(min_value=2**128 - 5, max_value=2**128 - 1),
+)
+KEYS = st.binary(min_size=32, max_size=32).map(SymmetricKey)
+
+
+class TestAgainstLibraryCtr:
+    """The keystream built from one AES context per key must equal the
+    library's own CTR mode, one cipher per field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key=KEYS,
+        counter=COUNTERS,
+        length=st.one_of(st.integers(min_value=0, max_value=200), st.just(4099)),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_encrypt_field_matches_oracle(self, key, counter, length, seed):
+        data = random.Random(seed).randbytes(length)
+        counter0 = counter.to_bytes(16, "big")
+        assert encrypt_field(data, key, counter0) == ctr_keystream_xor(data, key, counter0)
+
+    def test_wrap_at_2_128(self):
+        key = SymmetricKey(NIST_KEY)
+        counter0 = b"\xff" * 16
+        got = encrypt_field(b"\x00" * 32, key, counter0)
+        assert got[16:] == encrypt_field(b"\x00" * 16, key, b"\x00" * 16)
+        assert got == ctr_keystream_xor(b"\x00" * 32, key, counter0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        key=KEYS,
+        device=st.text(max_size=200),
+        at=st.integers(min_value=0, max_value=2**64),
+        milli=st.integers(min_value=0, max_value=10**12),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_encrypt_record_matches_fieldwise_oracle(self, key, device, at, milli, seed):
+        rec = MeterRecord(device, at, Decimal(milli) / 1000)
+        enc = encrypt_record(rec, key, random.Random(seed))
+        assert enc.nonce == fresh_nonce(random.Random(seed))
+        want = crypt_record_fieldwise(encode_record(rec), key, enc.nonce)
+        assert (enc.id_ct, enc.time_ct, enc.value_ct) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        key=KEYS,
+        device=st.text(max_size=200),
+        at=st.integers(min_value=0, max_value=2**64),
+        milli=st.integers(min_value=0, max_value=10**12),
+        nonce=st.binary(min_size=16, max_size=16),
+    )
+    def test_decrypt_record_inverts_fieldwise_oracle(self, key, device, at, milli, nonce):
+        rec = MeterRecord(device, at, Decimal(milli) / 1000)
+        id_ct, time_ct, value_ct = crypt_record_fieldwise(encode_record(rec), key, nonce)
+        enc = EncryptedRecord(id_ct=id_ct, time_ct=time_ct, value_ct=value_ct, nonce=nonce)
+        assert decrypt_record(enc, key) == rec
+
+    def test_key_expanded_once(self, monkeypatch):
+        built = []
+        real_cipher = meter.Cipher
+
+        def counting_cipher(*args, **kwargs):
+            built.append(args)
+            return real_cipher(*args, **kwargs)
+
+        monkeypatch.setattr(meter, "Cipher", counting_cipher)
+        rng = random.Random(15)
+        key = SymmetricKey(rng.randbytes(32))
+        for k in range(5):
+            rec = MeterRecord("SM-01", 1622966400 + k, Decimal(k))
+            assert decrypt_record(encrypt_record(rec, key, rng), key) == rec
+        assert len(built) == 1
+
+    def test_one_aes_call_per_record(self, monkeypatch):
+        calls = []
+        real_encrypt_blocks = SymmetricKey.encrypt_blocks
+
+        def counting(self, blocks):
+            calls.append(len(blocks))
+            return real_encrypt_blocks(self, blocks)
+
+        monkeypatch.setattr(SymmetricKey, "encrypt_blocks", counting)
+        rng = random.Random(16)
+        key = SymmetricKey(rng.randbytes(32))
+        rec = MeterRecord("SM-" + "x" * 20, 1622966400, Decimal("12.5"))
+        enc = encrypt_record(rec, key, rng)
+        assert calls == [16 * (2 + 1 + 1)]
+        decrypt_record(enc, key)
+        assert calls == [64, 64]
+
+
+class TestKeyMaterial:
+    def test_repr_hides_key_bytes(self):
+        acct = MeterAccount.generate("SM-01", random.Random(17))
+        key = acct.key
+        for text in (repr(key), repr(acct)):
+            assert key.bytes.hex() not in text
+            assert repr(key.bytes) not in text
+
+    def test_equality_and_hash_use_key_bytes_alone(self):
+        raw = random.Random(18).randbytes(32)
+        a, b = SymmetricKey(raw), SymmetricKey(bytes(raw))
+        assert a == b and hash(a) == hash(b)
+        assert a != SymmetricKey(bytes(32))
+
+    def test_pickle_and_deepcopy_keep_the_key(self):
+        acct = MeterAccount.generate("SM-01", random.Random(19))
+        rec = MeterRecord("SM-01", 1622966400, Decimal("1.5"))
+        for copied in (pickle.loads(pickle.dumps(acct)), copy.deepcopy(acct)):
+            assert copied == acct
+            enc = encrypt_record(rec, copied.key, random.Random(20))
+            assert enc == encrypt_record(rec, acct.key, random.Random(20))
 
 
 class TestEncodeRecord:
