@@ -16,6 +16,9 @@ from typing import Iterable, Sequence
 # ``consensus.MAX_UNCLE_GENERATIONS`` generations.
 LINEAGE_ANCESTORS = 7
 
+# Wire size of a simulated transaction (payload plus envelope), in kB.
+TX_SIZE_KB = 0.759808
+
 
 class ChainError(Exception):
     pass
@@ -60,7 +63,7 @@ class Transaction:
 
     ``tx_id`` is unique within a simulation run; for simulator-generated
     traffic it is simply the arrival index. ``size_kb`` is kept in kB because
-    the configured average transaction size is fractional at byte level.
+    ``TX_SIZE_KB`` is fractional at byte level.
     """
 
     tx_id: int

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
-from .chain import Transaction
+from .chain import TX_SIZE_KB, Transaction
 from .contract import CallKind, ContractCall, ReplayedState, replay_chain
 from .meter import (
     MeterAccount,
     MeterError,
+    MeterStreamError,
     build_record_tx,
     decrypt_record,
     encrypt_record,
@@ -114,7 +115,6 @@ OPTIONS = {
     "out": (str, None, "output file"),
     "trace": (boolean, None, "write per-run block event traces next to the output"),
     "total_hashrate": (float, "total_hashrate", "difficulty solved per second, all miners"),
-    "tx_size_kb": (float, "tx_size_kb", "transaction size in kB"),
     "warmup_blocks": (int, "warmup_blocks", "canonical blocks left out of the statistics"),
     "initial_difficulty": (int, "initial_difficulty",
                            "genesis difficulty (default: the equilibrium estimate)"),
@@ -282,8 +282,7 @@ class DemoReport:
 
 def _control_tx(sender, call: ContractCall, config: SimConfig) -> Transaction:
     return Transaction(
-        tx_id=0, sender=sender, gas=config.mean_tx_gas, size_kb=config.tx_size_kb,
-        payload=call,
+        tx_id=0, sender=sender, gas=config.mean_tx_gas, size_kb=TX_SIZE_KB, payload=call,
     )
 
 
@@ -312,10 +311,12 @@ def run_e2e_demo(spec: ExperimentSpec) -> DemoReport:
     sent_trusted = 0
     sent_untrusted = 0
     encrypted_nonces: list[bytes] = []
+    stream = None
+    if spec.meter_stream_file is not None:
+        stream = load_meter_stream(spec.meter_stream_file)
     for m_index, acct in enumerate(meters):
-        if spec.meter_stream_file is not None:
-            records = load_meter_stream(spec.meter_stream_file)
-            records = [dataclasses.replace(r, device_id=acct.name) for r in records]
+        if stream is not None:
+            records = [dataclasses.replace(r, device_id=acct.name) for r in stream]
         else:
             records = simulate_meter_stream(
                 acct.name, spec.meter_interval_s, stream_seconds, rng,
@@ -388,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
                 Path(spec.output_path).write_text(
                     "\n".join(report.lines()) + "\n", encoding="utf-8"
                 )
-    except (ConfigFileError, InvalidConfig, ChainTooShort) as exc:
+    except (ConfigFileError, InvalidConfig, ChainTooShort, MeterStreamError) as exc:
         print(f"gridchain: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # runtime failure

@@ -19,6 +19,14 @@ from typing import NamedTuple
 from .chain import LINEAGE_ANCESTORS, BlockHeader, BlockTree, UnknownBlock, UnknownParent
 
 MIN_DIFFICULTY = 131072
+# The rest of the production rule, fixed: difficulty moves in steps of
+# parent // DIFFICULTY_DIVISOR, by at most -ZETA_FLOOR steps down per block,
+# and the exponential "bomb" term, dormant at private-network heights,
+# doubles every BOMB_PERIOD blocks from BOMB_OFFSET on.
+DIFFICULTY_DIVISOR = 2048
+ZETA_FLOOR = -99
+BOMB_OFFSET = 5_000_000
+BOMB_PERIOD = 100_000
 
 # A block may reference an uncle whose parent is its k-th generation
 # ancestor for 2 <= k <= MAX_UNCLE_GENERATIONS (the standard protocol window).
@@ -37,47 +45,35 @@ class NonMonotonicTimestamp(ConsensusError):
 
 @dataclass(frozen=True, slots=True)
 class DifficultyParams:
-    """All knobs of the difficulty update rule.
-
-    ``lambda_`` is the interval threshold in seconds (9 on the public
-    network). The exponential "bomb" term is kept faithful to the production
-    rule even though it is dormant at private-network block heights; its
-    offset/period are exposed rather than hard-wired.
+    """The one tunable of the difficulty update rule: ``lambda_``, the
+    interval threshold in seconds (9 on the public network). The rule's
+    other constants are the public network's, fixed at module level.
     """
 
     lambda_: int = 9
-    d0: int = MIN_DIFFICULTY
-    divisor: int = 2048
-    zeta_floor: int = -99
-    bomb_offset: int = 5_000_000
-    bomb_period: int = 100_000
 
     def __post_init__(self) -> None:
         if self.lambda_ < 1:
             raise ValueError("lambda_ must be >= 1 second")
-        if self.d0 <= 0 or self.divisor <= 0:
-            raise ValueError("d0 and divisor must be positive")
-        if self.zeta_floor >= 0:
-            raise ValueError("zeta_floor must be negative")
 
 
 class DifficultyTrace(NamedTuple):
     """One difficulty evaluation with all intermediates kept inspectable."""
 
     t: int          # block interval in seconds
-    x: int          # parent_difficulty // divisor
+    x: int          # parent_difficulty // DIFFICULTY_DIVISOR
     y: int          # 1 if the parent has no uncles else 2
-    zeta: int       # max(y - t // lambda_, zeta_floor)
+    zeta: int       # max(y - t // lambda_, ZETA_FLOOR)
     epsilon: int    # exponential bomb term (0 below the offset height)
     result: int
 
 
-def bomb_term(params: DifficultyParams, block_number: int) -> int:
-    """floor(2 ** (max(number - offset, 0) // period - 2)), exactly.
+def bomb_term(block_number: int) -> int:
+    """floor(2 ** (max(number - BOMB_OFFSET, 0) // BOMB_PERIOD - 2)), exactly.
 
     Exact integer arithmetic: any negative exponent floors to zero.
     """
-    exponent = max(block_number - params.bomb_offset, 0) // params.bomb_period - 2
+    exponent = max(block_number - BOMB_OFFSET, 0) // BOMB_PERIOD - 2
     return 2**exponent if exponent >= 0 else 0
 
 
@@ -89,11 +85,11 @@ def compute_difficulty(
 ) -> DifficultyTrace:
     """Evaluate the difficulty of a block given its parent header.
 
-    For ``block_number == 0`` the result is the base difficulty ``d0`` and
+    For ``block_number == 0`` the result is ``MIN_DIFFICULTY`` and
     the intermediates are zeroed (``y = 1`` by convention).
     """
     if block_number == 0:
-        return DifficultyTrace(t=0, x=0, y=1, zeta=0, epsilon=0, result=params.d0)
+        return DifficultyTrace(t=0, x=0, y=1, zeta=0, epsilon=0, result=MIN_DIFFICULTY)
     if parent is None:
         raise ValueError("non-genesis difficulty needs the parent header")
     if timestamp <= parent.timestamp:
@@ -101,27 +97,26 @@ def compute_difficulty(
             f"timestamp {timestamp} <= parent timestamp {parent.timestamp}"
         )
     t = timestamp - parent.timestamp
-    x = parent.difficulty // params.divisor
+    x = parent.difficulty // DIFFICULTY_DIVISOR
     y = 1 if not parent.uncle_ids else 2
-    zeta = max(y - t // params.lambda_, params.zeta_floor)
-    epsilon = bomb_term(params, block_number)
-    result = max(params.d0, parent.difficulty + x * zeta + epsilon)
+    zeta = max(y - t // params.lambda_, ZETA_FLOOR)
+    epsilon = bomb_term(block_number)
+    result = max(MIN_DIFFICULTY, parent.difficulty + x * zeta + epsilon)
     return DifficultyTrace(t=t, x=x, y=y, zeta=zeta, epsilon=epsilon, result=result)
 
 
-def fork_choice_head(tree: BlockTree, receive_order: dict[str, int] | None = None) -> str:
-    """Block id with maximal total difficulty.
+def fork_choice_head(tree: BlockTree) -> str:
+    """Block id with maximal total difficulty, ties broken by the
+    lexicographically smaller block id.
 
-    Ties are broken by earlier receive order (when the evaluating node's
-    receive map is given) and then by lexicographically smaller block id, so
-    the choice is deterministic either way. Without a receive map the result
-    depends only on the tree contents, not on insertion order.
+    The result depends only on the tree contents, not on insertion order.
+    (A live node breaks ties by first receipt instead; see
+    ``NodeState.head_key`` in the simulator.)
     """
     best_id = None
     best_key = None
     for bid, td in tree.total_difficulty.items():
-        seq = receive_order.get(bid, 0) if receive_order is not None else 0
-        key = (-td, seq, bid)
+        key = (-td, bid)
         if best_key is None or key < best_key:
             best_key = key
             best_id = bid

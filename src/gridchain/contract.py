@@ -95,9 +95,9 @@ class ContractState:
 
     @classmethod
     def deploy(cls, sender: Address) -> "ContractState":
+        """A fresh registry deployed by ``sender``, through the DEPLOY call."""
         state = cls()
-        state.trusted_acc[sender] = True
-        state.init_addr = sender
+        apply_call(state, sender, ContractCall(CallKind.DEPLOY))
         return state
 
     @property

@@ -21,19 +21,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from pathlib import Path
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .chain import Address, Transaction
+from .chain import TX_SIZE_KB, Address, Transaction
 from .contract import CallKind, ContractCall
 
 KEY_LEN = 32
 COUNTER_LEN = 16
 NONCE_RANDOM_LEN = 12
 
-# Default wire size of a record transaction (payload plus envelope), in kB.
-DEFAULT_RECORD_TX_KB = 0.759808
 DEFAULT_RECORD_TX_GAS = 45_000
+# Largest energy step between two simulated readings, in kWh.
+MAX_STEP_KWH = 0.5
 
 
 class MeterError(Exception):
@@ -256,17 +257,13 @@ def unpack_record_fields(id_field: bytes, time_field: bytes, value_field: bytes)
 
 
 def build_record_tx(
-    enc: EncryptedRecord,
-    sender: Address,
-    tx_id: int = 0,
-    gas: int = DEFAULT_RECORD_TX_GAS,
-    target_size_kb: float = DEFAULT_RECORD_TX_KB,
+    enc: EncryptedRecord, sender: Address, gas: int = DEFAULT_RECORD_TX_GAS
 ) -> Transaction:
     """Wrap an encrypted record into a record-append transaction.
 
-    The transaction size is the payload plus a fixed envelope, padded up to
-    ``target_size_kb`` so typical records land exactly on the configured
-    average wire size; oversized fields grow the transaction past it.
+    A typical record pads to ``TX_SIZE_KB``, the size of every simulated
+    transaction; oversized fields grow the transaction past it. Its id is 0
+    until the simulator numbers it by arrival.
     """
     id_field, time_field, value_field = pack_record_fields(enc)
     payload_kb = (len(id_field) + len(time_field) + len(value_field)) / 1000.0
@@ -277,10 +274,10 @@ def build_record_tx(
         record_value=value_field,
     )
     return Transaction(
-        tx_id=tx_id,
+        tx_id=0,
         sender=sender,
         gas=gas,
-        size_kb=max(target_size_kb, payload_kb),
+        size_kb=max(TX_SIZE_KB, payload_kb),
         payload=call,
     )
 
@@ -291,7 +288,6 @@ def simulate_meter_stream(
     duration_s: int,
     rng: random.Random,
     start_time: int = 0,
-    max_step_kwh: float = 0.5,
 ) -> list[MeterRecord]:
     """Readings at a fixed cadence with a non-decreasing cumulative energy."""
     if interval_s <= 0:
@@ -300,7 +296,7 @@ def simulate_meter_stream(
     records = []
     energy = Decimal("0.000")
     for k in range(count):
-        energy += Decimal(f"{rng.uniform(0.0, max_step_kwh):.3f}")
+        energy += Decimal(f"{rng.uniform(0.0, MAX_STEP_KWH):.3f}")
         records.append(
             MeterRecord(
                 device_id=device_id,
@@ -318,22 +314,44 @@ def save_meter_stream(records: list[MeterRecord], path) -> None:
             fh.write(f"{rec.device_id},{rec.collected_at},{rec.energy_kwh:.3f}\n")
 
 
+class MeterStreamError(ValueError):
+    """A meter stream file that cannot be read or has malformed lines."""
+
+
+def _parse_reading(line: str) -> MeterRecord:
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise ValueError("expected device_id,unix_time,kwh")
+    device, time_s, kwh = parts
+    try:
+        collected_at = int(time_s)
+    except ValueError:
+        raise ValueError(f"unix time {time_s!r} is not an integer") from None
+    try:
+        return MeterRecord(device_id=device, collected_at=collected_at, energy_kwh=Decimal(kwh))
+    except InvalidOperation:
+        raise ValueError(f"kWh value {kwh!r} is not a finite decimal number") from None
+
+
 def load_meter_stream(path) -> list[MeterRecord]:
+    """The records of a ``device_id,unix_time,kwh`` file; blank lines and
+    '#' comments are skipped. Raises MeterStreamError naming ``path:line``
+    and the reason for every malformed line, or the file if it cannot be
+    read."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeterStreamError(f"{path}: cannot read meter file: {exc}") from exc
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected device_id,unix_time,kwh")
-            device, time_s, kwh = parts
-            records.append(
-                MeterRecord(
-                    device_id=device,
-                    collected_at=int(time_s),
-                    energy_kwh=Decimal(kwh),
-                )
-            )
+    problems = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            records.append(_parse_reading(line))
+        except ValueError as exc:
+            problems.append(f"{path}:{lineno}: {exc}")
+    if problems:
+        raise MeterStreamError("\n".join(problems))
     return records

@@ -32,6 +32,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .chain import (
+    TX_SIZE_KB,
     Address,
     Block,
     BlockTree,
@@ -62,7 +63,9 @@ class InvalidConfig(ValueError):
 class SimConfig:
     """Experiment input. Defaults follow the measured small-network setup:
     3 miners with equal shares, 0.25 s propagation, 100 tx/s arrivals,
-    15M gas blocks, 45k gas / 0.759808 kB transactions.
+    15M gas blocks and 45k gas transactions. Transaction size is no setting:
+    every simulated transaction is ``chain.TX_SIZE_KB`` (0.759808 kB), and
+    nothing in a run reads it.
 
     ``total_hashrate`` sets the scale of solve times (difficulty per second);
     the default of one base-difficulty per second keeps the difficulty
@@ -82,7 +85,6 @@ class SimConfig:
     tx_rate: float = 100.0
     block_gas_limit: int = 15_000_000
     mean_tx_gas: int = 45_000
-    tx_size_kb: float = 0.759808
     sim_duration: float = 1000.0
     num_runs: int = 100
     seed: int = 1
@@ -126,8 +128,6 @@ class SimConfig:
             raise InvalidConfig("gas limit and mean transaction gas must be positive")
         if self.mean_tx_gas > self.block_gas_limit:
             raise InvalidConfig("mean_tx_gas cannot exceed the block gas limit")
-        if self.tx_size_kb <= 0:
-            raise InvalidConfig("tx_size_kb must be positive")
         if self.sim_duration <= 0:
             raise InvalidConfig("sim_duration must be positive")
         if self.num_runs < 1:
@@ -244,13 +244,11 @@ class TxTable:
         times: np.ndarray,
         origins: np.ndarray,
         gas: np.ndarray,
-        size_kb: float,
         injected: dict[int, Transaction],
     ):
         self.times = times
         self.origins = origins
         self.gas = gas
-        self.size_kb = size_kb
         self.injected = injected
         self.count = len(times)
         self._node_addr: dict[int, Address] = {}
@@ -270,7 +268,7 @@ class TxTable:
             tx_id=i,
             sender=self._addr(int(self.origins[i])),
             gas=int(self.gas[i]),
-            size_kb=self.size_kb,
+            size_kb=TX_SIZE_KB,
             payload=None,
         )
 
@@ -322,8 +320,7 @@ def build_tx_table(
     else:
         times, origins, gas = stat_times, stat_origins, stat_gas
         injected_map = {}
-    return TxTable(times=times, origins=origins, gas=gas, size_kb=config.tx_size_kb,
-                   injected=injected_map)
+    return TxTable(times=times, origins=origins, gas=gas, injected=injected_map)
 
 
 class EventKind(Enum):
@@ -522,6 +519,8 @@ class Simulation:
         )
 
     def _schedule_mining(self, node: NodeState, now: float) -> None:
+        """Draw the node's next solve time on its current head. From the end
+        of the run on, it does nothing: no draw, no new epoch, no event."""
         if now >= self.config.sim_duration:
             return
         node.epoch += 1
@@ -570,8 +569,7 @@ class Simulation:
         for time, receivers in arrivals.items():
             self._push(time, EventKind.BLOCK_RECEIVED, tuple(receivers), block)
 
-    def on_block_received(self, node_index: int, block: Block, now: float,
-                          reschedule: bool = True) -> None:
+    def on_block_received(self, node_index: int, block: Block, now: float) -> None:
         """Insert a delivered block (buffering on unknown parents), then
         re-run fork choice and reorganise if the head changed."""
         node = self.nodes[node_index]
@@ -601,11 +599,10 @@ class Simulation:
             self._trace(now, "received", node.index, b)
             key = (-tree.total_difficulty[b.block_id], seq, b.block_id)
             if key < node.head_key:
-                self._reorg(node, b, key, now, reschedule)
+                self._reorg(node, b, key, now)
             queue.extend(node.orphans.pop(b.block_id, ()))
 
-    def _reorg(self, node: NodeState, new_head: Block, new_key, now: float,
-               reschedule: bool = True) -> None:
+    def _reorg(self, node: NodeState, new_head: Block, new_key, now: float) -> None:
         """Move the node's canonical state from the old head to ``new_head``:
         abandoned blocks return their transactions to the pool, adopted
         blocks claim theirs, and mining restarts on the new head."""
@@ -631,8 +628,7 @@ class Simulation:
             node.set_in_chain(self.tx_arrays[blk.block_id], True)
         node.head_block = new_head
         node.head_key = new_key
-        if reschedule:
-            self._schedule_mining(node, now)
+        self._schedule_mining(node, now)
 
     def _settle(self) -> None:
         """Resolve end-of-run ties identically at every node.
@@ -649,7 +645,7 @@ class Simulation:
             if best != node.head_block.block_id:
                 block = node.tree.blocks[best]
                 key = (-node.tree.total_difficulty[best], node.receive_seq[best], best)
-                self._reorg(node, block, key, self.config.sim_duration, reschedule=False)
+                self._reorg(node, block, key, self.config.sim_duration)
 
     def run(self) -> RunResult:
         duration = self.config.sim_duration
@@ -663,9 +659,8 @@ class Simulation:
                     continue
                 self.on_block_mined(target, time)
             else:
-                reschedule = time <= duration
                 for index in target:
-                    self.on_block_received(index, block, time, reschedule)
+                    self.on_block_received(index, block, time)
         self._settle()
 
         node0 = self.nodes[0]

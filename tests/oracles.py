@@ -104,8 +104,7 @@ class PerReceiverSimulation(Simulation):
                 self._push(now + self.config.delay(sender, dst), EventKind.BLOCK_RECEIVED,
                            (dst,), block)
 
-    def on_block_received(self, node_index: int, block: Block, now: float,
-                          reschedule: bool = True) -> None:
+    def on_block_received(self, node_index: int, block: Block, now: float) -> None:
         node = self.nodes[node_index]
         queue = [block]
         while queue:
@@ -122,7 +121,7 @@ class PerReceiverSimulation(Simulation):
             self._trace(now, "received", node.index, b)
             key = (-node.tree.total_difficulty[b.block_id], seq, b.block_id)
             if key < node.head_key:
-                self._reorg(node, b, key, now, reschedule)
+                self._reorg(node, b, key, now)
             queue.extend(node.orphans.pop(b.block_id, ()))
 
 

@@ -16,9 +16,9 @@ from gridchain.cli import (
     parse_config,
     run_e2e_demo,
 )
-from gridchain.meter import MalformedPlaintext
+from gridchain.meter import MalformedPlaintext, load_meter_stream
 from gridchain.metrics import CSV_HEADER
-from gridchain.netsim import SimConfig, Simulation
+from gridchain.netsim import SimConfig, Simulation, run_many
 
 
 FAST = [
@@ -38,7 +38,6 @@ class TestParseConfig:
         c = spec.config
         assert spec.mode == "single"
         assert c.block_gas_limit == 15_000_000
-        assert c.tx_size_kb == pytest.approx(0.759808)
         assert c.propagation_delay == 0.25
         assert c.tx_rate == 100.0
         assert c.num_nodes == 3
@@ -80,13 +79,13 @@ class TestParseConfig:
     def test_file_only_keys_are_flags_too(self, tmp_path):
         conf = write_config(
             tmp_path,
-            "total-hashrate = 65536\ntx-size-kb = 0.5\nwarmup-blocks = 7\n"
+            "total-hashrate = 65536\nwarmup-blocks = 7\n"
             "initial-difficulty = 200000\nworkers = 2\nmeter-interval = 9\n"
             "meter-file = m.csv\ntrace = yes\n",
         )
         from_file = parse_config(["--config", conf])
         from_flags = parse_config([
-            "--total-hashrate", "65536", "--tx-size-kb", "0.5", "--warmup-blocks", "7",
+            "--total-hashrate", "65536", "--warmup-blocks", "7",
             "--initial-difficulty", "200000", "--workers", "2", "--meter-interval", "9",
             "--meter-file", "m.csv", "--trace",
         ])
@@ -103,6 +102,36 @@ class TestParseConfig:
                      "--duration", "--runs", "--seed", "--out", "--config",
                      "--trace"):
             assert flag in option_strings
+
+
+# For every option that sets a SimConfig field, a value that moves a short
+# run's output away from the defaults'. A setting that reaches no output
+# has no value here that passes.
+KNOB_VALUES = {
+    "lambda": "5",
+    "nodes": "2",
+    "hash_shares": "0.5,0.3,0.2",
+    "delay": "2.0",
+    "tx_rate": "10",
+    "gas_limit": "135000",  # three transactions a block
+    "tx_gas": "60000",
+    "duration": "150",
+    "runs": "2",
+    "seed": "2",
+    "total_hashrate": "20000",  # the difficulty floor binds
+    "warmup_blocks": "10",
+    "initial_difficulty": "2000000",
+}
+SHORT_RUN = ["--duration", "120", "--warmup-blocks", "5", "--runs", "1"]
+
+
+@pytest.mark.parametrize("name", [name for name, option in cli.OPTIONS.items() if option[1]])
+def test_every_config_knob_reaches_the_output(name):
+    assert name in KNOB_VALUES, f"no value for option {name!r}"
+    flag = "--" + name.replace("_", "-")
+    base = parse_config(SHORT_RUN).config
+    changed = parse_config(SHORT_RUN + [flag, KNOB_VALUES[name]]).config
+    assert run_many(changed) != run_many(base)
 
 
 class TestMainExitCodes:
@@ -141,6 +170,44 @@ class TestMainExitCodes:
             parse_config(["--sweep", "1,x"])
         assert err.value.code == 2
         assert "invalid int_list value: '1,x'" in capsys.readouterr().err
+
+
+class TestMeterFile:
+    @pytest.mark.parametrize("line, reason", [
+        ("SM-01,1750000010,12.5x", "kWh value '12.5x' is not a finite decimal number"),
+        ("SM-01,noon,12.500", "unix time 'noon' is not an integer"),
+        ("SM-01,1750000010,-1.000", "energy must be non-negative"),
+        (None, "cannot read meter file"),
+    ])
+    def test_malformed_file_is_config_error(self, tmp_path, capsys, line, reason):
+        path = tmp_path / "meters.csv"
+        if line is not None:
+            path.write_text(f"SM-01,1750000005,1.000\n{line}\n")
+        code = main(["--mode", "e2e-demo", "--duration", "100", "--meter-file", str(path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert reason in err
+        if line is not None:
+            assert f"{path}:2: " in err
+
+    def test_file_read_once(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "meters.csv"
+        path.write_text("SM-01,1750000000,1.000\nSM-01,1750000005,1.250\n"
+                        "SM-01,1750000010,1.750\n")
+        reads = []
+
+        def counted(p):
+            reads.append(p)
+            return load_meter_stream(p)
+
+        monkeypatch.setattr(cli, "load_meter_stream", counted)
+        code = main(["--mode", "e2e-demo", "--duration", "100", "--meter-file", str(path)])
+        assert code == EXIT_OK
+        assert reads == [str(path)]
+        out = capsys.readouterr().out
+        assert "records confirmed on chain:       6" in out
+        assert "records recovered by decryption:  6" in out
 
 
 class TestSweepCli:

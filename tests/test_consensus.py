@@ -203,14 +203,11 @@ class TestForkChoice:
         b1 = extend(tree, genesis, difficulty=262273, miner=1)
         assert fork_choice_head(tree) == b1.block_id
 
-    def test_tie_broken_by_receive_order_then_id(self, tree, genesis):
+    def test_tie_broken_by_smaller_id(self, tree, genesis):
         c1 = extend(tree, genesis, difficulty=131072, miner=0, ts=5)
         c2 = extend(tree, genesis, difficulty=131072, miner=1, ts=6)
         assert tree.total_difficulty[c1.block_id] == tree.total_difficulty[c2.block_id]
-        first, second = sorted([c1.block_id, c2.block_id])
-        assert fork_choice_head(tree) == first
-        order = {genesis.block_id: 0, second: 1, first: 2}
-        assert fork_choice_head(tree, receive_order=order) == second
+        assert fork_choice_head(tree) == min(c1.block_id, c2.block_id)
 
     def test_insertion_order_invariance(self, genesis):
         rng = random.Random(4)

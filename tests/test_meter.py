@@ -15,6 +15,7 @@ from gridchain.meter import (
     MalformedPlaintext,
     MeterAccount,
     MeterRecord,
+    MeterStreamError,
     SymmetricKey,
     build_record_tx,
     decode_record,
@@ -383,3 +384,13 @@ class TestMeterStream:
         path.write_text("SM-01,123\n")
         with pytest.raises(ValueError):
             load_meter_stream(path)
+
+    def test_file_names_every_malformed_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("SM-01,123\nSM-01,5,1.000\n# note\nSM-01,9,NaN\n")
+        with pytest.raises(MeterStreamError) as err:
+            load_meter_stream(path)
+        assert str(err.value).splitlines() == [
+            f"{path}:1: expected device_id,unix_time,kwh",
+            f"{path}:4: kWh value 'NaN' is not a finite decimal number",
+        ]

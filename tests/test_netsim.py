@@ -414,6 +414,34 @@ class TestRunSimulation:
         assert 2.0 <= result.stats.mean_block_interval <= 6.0
 
 
+class TestEndOfRun:
+    def test_scheduling_at_the_end_changes_nothing(self):
+        config = small_config()
+        sim = Simulation(config, 0)
+        for node in sim.nodes:
+            sim._schedule_mining(node, 0.0)
+        for now in (config.sim_duration, config.sim_duration + 1.0):
+            for node in sim.nodes:
+                epoch, events = node.epoch, list(sim.events)
+                rng_state = sim.rng.bit_generator.state
+                sim._schedule_mining(node, now)
+                assert node.epoch == epoch
+                assert sim.events == events
+                assert sim.rng.bit_generator.state == rng_state
+
+    @pytest.mark.parametrize("config", [
+        small_config(),
+        small_config(lambda_=1, num_nodes=6, propagation_delay=2.0, tx_rate=5.0),
+    ])
+    def test_no_block_mined_after_the_end(self, config):
+        buf = io.StringIO()
+        run_simulation(config, 0, trace=buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        mined = [float(row[0]) for row in rows if row[1] == "mined"]
+        assert mined
+        assert max(mined) <= config.sim_duration
+
+
 class TestEventSemantics:
     def test_mined_timestamp_rule(self):
         # parent timestamp 5, mining at sim time 5.2 -> max(6, 5) = 6
