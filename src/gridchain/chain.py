@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Ancestors kept per block in ``BlockTree.lineage``: the uncle window of
 # ``consensus.MAX_UNCLE_GENERATIONS`` generations.
@@ -45,10 +45,6 @@ class Address:
     @classmethod
     def from_seed(cls, seed: bytes) -> "Address":
         return cls(hashlib.sha256(seed).digest()[:20])
-
-    @classmethod
-    def from_node(cls, node_index: int) -> "Address":
-        return cls.from_seed(b"node:%d" % node_index)
 
     def hex(self) -> str:
         return self.value.hex()
@@ -91,45 +87,15 @@ class BlockHeader:
     gas_used: int
 
 
-class _TxSlice(Sequence):
-    """Lazy view of simulator transactions, materialised on access.
-
-    The event loop works purely on integer transaction ids; analysis code
-    that touches ``block.transactions`` pays the object cost only for the
-    blocks it looks at.
-    """
-
-    __slots__ = ("_table", "_ids")
-
-    def __init__(self, table, ids: tuple[int, ...]):
-        self._table = table
-        self._ids = ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._table.tx(j) for j in self._ids[i]]
-        return self._table.tx(self._ids[i])
-
-    def __iter__(self):
-        return (self._table.tx(j) for j in self._ids)
-
-    def injected(self) -> list[Transaction]:
-        """The injected transactions of the slice, in block order: the only
-        ones that can carry a payload."""
-        injected = self._table.injected
-        return [injected[j] for j in self._ids if j in injected]
-
-    def __repr__(self) -> str:
-        return f"<_TxSlice of {len(self._ids)} txs>"
-
-
 @dataclass(frozen=True, slots=True)
 class Block:
+    """A header over its transaction ids. ``transactions`` holds those of
+    the ids that exist as objects, in block order: all of them for a
+    ``make_block`` block, and only the injected ones for a simulator block,
+    whose generated load is ids and gas alone."""
+
     header: BlockHeader
-    transactions: Sequence[Transaction]
+    transactions: tuple[Transaction, ...]
     tx_ids: tuple[int, ...]
 
     @property
@@ -139,18 +105,6 @@ class Block:
     @property
     def number(self) -> int:
         return self.header.number
-
-
-def payload_transactions(block: Block) -> Iterable[Transaction]:
-    """The block's transactions that may carry a payload, in block order.
-
-    A simulator block answers from its injected ids without materialising
-    its other transactions; any other block yields all of its own.
-    """
-    txs = block.transactions
-    if isinstance(txs, _TxSlice):
-        return txs.injected()
-    return txs
 
 
 def header_digest(
@@ -181,10 +135,11 @@ def assemble_block(
     uncle_ids: Sequence[str],
     tx_ids: tuple[int, ...],
     gas_used: int,
-    transactions: Sequence[Transaction],
+    transactions: tuple[Transaction, ...],
 ) -> Block:
     """The block constructor: the header, whose id digests its contents and
-    ``tx_ids``, over ``transactions`` (the transactions of ``tx_ids``)."""
+    ``tx_ids``, over ``transactions`` (those of ``tx_ids`` that exist as
+    objects)."""
     uncle_ids = tuple(uncle_ids)
     block_id = header_digest(number, parent_id, miner, difficulty, timestamp, uncle_ids, tx_ids)
     header = BlockHeader(block_id, number, parent_id, miner, difficulty, timestamp, uncle_ids,

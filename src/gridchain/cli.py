@@ -18,7 +18,6 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from pathlib import Path
 
 from .chain import TX_SIZE_KB, Transaction
@@ -26,6 +25,7 @@ from .contract import CallKind, ContractCall, ReplayedState, replay_chain
 from .meter import (
     MeterAccount,
     MeterError,
+    MeterRecord,
     MeterStreamError,
     build_record_tx,
     decrypt_record,
@@ -307,10 +307,9 @@ def run_e2e_demo(spec: ExperimentSpec) -> DemoReport:
     lead_in = 10.0
     stream_seconds = max(0, int(config.sim_duration - 2 * lead_in))
     epoch0 = 1_750_000_000
-    sent: dict[tuple[str, int], Decimal] = {}
+    sent: dict[bytes, MeterRecord] = {}  # record nonce -> the record sent
     sent_trusted = 0
     sent_untrusted = 0
-    encrypted_nonces: list[bytes] = []
     stream = None
     if spec.meter_stream_file is not None:
         stream = load_meter_stream(spec.meter_stream_file)
@@ -325,17 +324,16 @@ def run_e2e_demo(spec: ExperimentSpec) -> DemoReport:
         home_node = (m_index + 1) % config.num_nodes
         for r_index, rec in enumerate(records):
             enc = encrypt_record(rec, acct.key, rng)
-            encrypted_nonces.append(enc.nonce)
+            if enc.nonce in sent:
+                raise AssertionError("duplicate record nonce within one run")
             tx = build_record_tx(enc, acct.address, gas=config.mean_tx_gas)
             send_time = lead_in + r_index * spec.meter_interval_s + 0.1 * m_index
             injected.append((send_time, home_node, tx))
-            sent[(rec.device_id, rec.collected_at)] = rec.energy_kwh
+            sent[enc.nonce] = rec
             if acct is rogue:
                 sent_untrusted += 1
             else:
                 sent_trusted += 1
-    if len(set(encrypted_nonces)) != len(encrypted_nonces):
-        raise AssertionError("duplicate record nonce within one run")
 
     result = run_simulation(config, 0, injected=injected)
     state = replay_chain(result.canonical_blocks())
@@ -352,7 +350,7 @@ def run_e2e_demo(spec: ExperimentSpec) -> DemoReport:
         except MeterError:
             failures += 1
             continue
-        if sent.get((rec.device_id, rec.collected_at)) == rec.energy_kwh:
+        if sent.get(enc.nonce) == rec:
             recovered += 1
         else:
             failures += 1
@@ -373,10 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = parse_config(argv)
         spec.validate()
-    except (ConfigFileError, InvalidConfig) as exc:
-        print(f"gridchain: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         if spec.mode == "sweep":
             run_sweep(spec)
         elif spec.mode != "e2e-demo":

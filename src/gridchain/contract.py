@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from .chain import Address, Block, payload_transactions
+from .chain import Address, Block
 
 
 class ContractError(Exception):
@@ -184,7 +184,7 @@ def replay_chain(chain: Iterable[Block]) -> ReplayedState:
     """
     state = ReplayedState()
     for block in chain:
-        for tx in payload_transactions(block):
+        for tx in block.transactions:
             call = tx.payload
             if not isinstance(call, ContractCall):
                 continue

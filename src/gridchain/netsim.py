@@ -32,12 +32,9 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .chain import (
-    TX_SIZE_KB,
-    Address,
     Block,
     BlockTree,
     Transaction,
-    _TxSlice,
     assemble_block,
     header_digest,  # noqa: F401  (bench/layers.py times netsim.header_digest)
     make_genesis,
@@ -231,12 +228,11 @@ def _sample_arrival_times(rate: float, duration: float, rng: np.random.Generator
 
 
 class TxTable:
-    """Arrival-ordered transaction store working on integer ids.
-
-    The event loop never touches Transaction objects; ``tx(i)`` materialises
-    one lazily for analysis and contract replay. Injected transactions (the
-    metering pipeline) keep their payloads and are re-numbered into arrival
-    order.
+    """Arrival-ordered transaction store working on integer ids: arrival
+    time, origin node and gas per id. Generated transactions exist only as
+    these arrays. Injected transactions (the metering pipeline) are
+    re-numbered into arrival order and kept as objects in ``injected``,
+    with their payloads.
     """
 
     def __init__(
@@ -251,26 +247,6 @@ class TxTable:
         self.gas = gas
         self.injected = injected
         self.count = len(times)
-        self._node_addr: dict[int, Address] = {}
-
-    def _addr(self, node: int) -> Address:
-        addr = self._node_addr.get(node)
-        if addr is None:
-            addr = Address.from_node(node)
-            self._node_addr[node] = addr
-        return addr
-
-    def tx(self, i: int) -> Transaction:
-        inj = self.injected.get(i)
-        if inj is not None:
-            return inj
-        return Transaction(
-            tx_id=i,
-            sender=self._addr(int(self.origins[i])),
-            gas=int(self.gas[i]),
-            size_kb=TX_SIZE_KB,
-            payload=None,
-        )
 
 
 def build_tx_table(
@@ -542,8 +518,10 @@ class Simulation:
         node.catch_up(now, self.config.propagation_delay)
         tx_ids, gas_used = node.fill(self.table.gas, self.config.block_gas_limit)
         ids = tuple(tx_ids)
+        inj = self.table.injected
         block = assemble_block(number, parent.block_id, node.index, trace.result, timestamp,
-                               uncles, ids, gas_used, _TxSlice(self.table, ids))
+                               uncles, ids, gas_used,
+                               tuple(inj[i] for i in ids if i in inj) if inj else ())
         self.tx_arrays[block.block_id] = np.array(ids, dtype=np.intp)
         node.tree.insert_block(block)
         seq = node.note_received(block.block_id)

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from gridchain.chain import Block, BlockHeader, BlockTree, Transaction
+from gridchain.chain import TX_SIZE_KB, Address, Block, BlockHeader, BlockTree, Transaction
 from gridchain.consensus import MAX_UNCLE_GENERATIONS, MAX_UNCLES_PER_BLOCK, validate_header
 from gridchain.meter import SymmetricKey, field_counter
 from gridchain.netsim import EventKind, SimConfig, Simulation, build_tx_table
@@ -26,7 +26,14 @@ def generate_tx_arrivals(
     """
     table = build_tx_table(config, rng)
     for i in range(table.count):
-        yield float(table.times[i]), table.tx(i)
+        tx = Transaction(tx_id=i, sender=node_address(int(table.origins[i])),
+                         gas=int(table.gas[i]), size_kb=TX_SIZE_KB)
+        yield float(table.times[i]), tx
+
+
+def node_address(index: int) -> Address:
+    """The sender address of the transactions that node ``index`` originates."""
+    return Address.from_seed(b"node:%d" % index)
 
 
 def fill_block(pool: Iterable[Transaction], gas_limit: int) -> list[Transaction]:

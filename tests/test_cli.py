@@ -209,6 +209,19 @@ class TestMeterFile:
         assert "records confirmed on chain:       6" in out
         assert "records recovered by decryption:  6" in out
 
+    def test_readings_at_the_same_time_are_all_recovered(self, tmp_path, capsys):
+        # Two readings of one meter at one time are two records, told apart
+        # by their nonces; neither may shadow the other.
+        path = tmp_path / "meters.csv"
+        path.write_text("SM-01,1750000000,1.000\nSM-01,1750000000,1.250\n"
+                        "SM-01,1750000010,1.750\n")
+        code = main(["--mode", "e2e-demo", "--duration", "200", "--meter-file", str(path)])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "records confirmed on chain:       6" in out
+        assert "records recovered by decryption:  6" in out
+        assert "decryption failures:              0" in out
+
 
 class TestSweepCli:
     def test_sweep_writes_one_row_per_lambda(self, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridchain import netsim
-from gridchain.chain import Address, Transaction, payload_transactions
+from gridchain.chain import TX_SIZE_KB, Transaction, make_block
 from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head
 from gridchain.contract import CallKind, ContractCall, dump_state, replay_chain
 from gridchain.metrics import ChainTooShort
@@ -27,7 +27,7 @@ from gridchain.netsim import (
 )
 
 from conftest import addr, line_link_delays, tx
-from oracles import PerReceiverSimulation, fill_block, generate_tx_arrivals
+from oracles import PerReceiverSimulation, fill_block, generate_tx_arrivals, node_address
 
 
 def small_config(**overrides):
@@ -272,7 +272,7 @@ class TestPool:
         sim = Simulation(config, 0)
         node = sim.nodes[data.draw(st.integers(0, num_nodes - 1))]
         stream = list(generate_tx_arrivals(config, np.random.default_rng([seed, 0])))
-        own = Address.from_node(node.index)
+        own = node_address(node.index)
         on_chain: set[int] = set()
         now = 0.0
         for advance, claim, release, mine in steps:
@@ -625,16 +625,41 @@ class TestInjectedTransactions:
             (4.0, 0, Transaction(0, owner, 45_000, 0.76, payload=None)),
         ]
         config = small_config(tx_rate=5.0, sim_duration=150.0)
-        chain = run_simulation(config, 0, injected=calls).canonical_blocks()
-        scanned = [dataclasses.replace(b, transactions=tuple(b.transactions)) for b in chain]
-        def with_payload(block):
-            return [t for t in payload_transactions(block) if t.payload is not None]
+        result = run_simulation(config, 0, injected=calls)
+        chain, table = result.canonical_blocks(), result.table
 
-        assert [with_payload(b) for b in chain] == [with_payload(b) for b in scanned]
+        def every_tx(i):  # the injected object, or a payload-less stand-in
+            return table.injected.get(i) or Transaction(
+                i, node_address(int(table.origins[i])), int(table.gas[i]), TX_SIZE_KB)
+
+        scanned = [make_block(b.number, b.header.parent_id, b.header.miner,
+                              b.header.difficulty, b.header.timestamp,
+                              [every_tx(i) for i in b.tx_ids], b.header.uncle_ids)
+                   for b in chain]
+        assert [s.tx_ids for s in scanned] == [b.tx_ids for b in chain]
+        assert sum(len(b.tx_ids) for b in chain) > len(table.injected)
         fast, full = replay_chain(chain), replay_chain(scanned)
         assert (fast.applied_calls, fast.failed_calls) == (2, 1)
         assert fast.failures_by_sender == full.failures_by_sender == {stranger: 1}
         assert dump_state(fast) == dump_state(full)
+
+    def test_blocks_hold_their_injected_transactions(self):
+        owner = addr("owner")
+        calls = [(0.5 + 3.0 * k, k % 3, Transaction(0, owner, 45_000, 0.76, payload=None))
+                 for k in range(40)]
+        config = small_config(tx_rate=20.0, sim_duration=150.0, propagation_delay=1.0)
+        result = run_simulation(config, 0, injected=calls)
+        inj = result.table.injected
+        held = 0
+        for tree in result.trees:
+            for b in tree.blocks.values():
+                assert b.transactions == tuple(inj[i] for i in b.tx_ids if i in inj)
+                held += len(b.transactions)
+        assert held >= len(inj) == 40
+
+        plain = run_simulation(config, 0)
+        assert all(b.transactions == () for tree in plain.trees for b in tree.blocks.values())
+        assert any(b.tx_ids for b in plain.tree.blocks.values())
 
     def test_injected_renumbered_in_arrival_order(self):
         owner = addr("owner")
@@ -645,7 +670,7 @@ class TestInjectedTransactions:
         found = [i for i in range(table.count) if table.injected.get(i) is not None]
         assert len(found) == 1
         i = found[0]
-        assert table.tx(i).tx_id == i
+        assert table.injected[i].tx_id == i
         assert float(table.times[i]) == 10.0
 
 
