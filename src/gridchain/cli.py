@@ -79,6 +79,8 @@ class ExperimentSpec:
         if self.meter_interval_s < 1:
             raise InvalidConfig("meter interval must be >= 1 second")
         self.config.validate()
+        for lam in self.sweep_lambdas if self.mode == "sweep" else ():
+            dataclasses.replace(self.config, lambda_=lam).validate()
 
 
 # argparse names the parser function in its error message.

@@ -110,8 +110,8 @@ def fork_choice_head(tree: BlockTree) -> str:
     lexicographically smaller block id.
 
     The result depends only on the tree contents, not on insertion order.
-    (A live node breaks ties by first receipt instead; see
-    ``NodeState.head_key`` in the simulator.)
+    (A live node breaks ties by first receipt instead: the simulator's
+    ``NodeState.head_block`` moves only to a strictly heavier block.)
     """
     best_id = None
     best_key = None

@@ -111,22 +111,22 @@ class SimConfig:
             raise InvalidConfig(
                 f"hash_shares has {len(shares)} entries for {self.num_nodes} nodes"
             )
-        if any(s <= 0 for s in shares):
-            raise InvalidConfig("every hash share must be positive")
+        if not all(0 < s < math.inf for s in shares):
+            raise InvalidConfig("every hash share must be positive and finite")
         if abs(math.fsum(shares) - 1.0) > 1e-9:
             raise InvalidConfig("hash shares must sum to 1")
-        if self.total_hashrate <= 0:
-            raise InvalidConfig("total_hashrate must be positive")
-        if self.propagation_delay < 0:
-            raise InvalidConfig("propagation_delay must be non-negative")
-        if self.tx_rate < 0:
-            raise InvalidConfig("tx_rate must be non-negative")
+        if not 0 < self.total_hashrate < math.inf:
+            raise InvalidConfig("total_hashrate must be positive and finite")
+        if not 0 <= self.propagation_delay < math.inf:
+            raise InvalidConfig("propagation_delay must be finite and non-negative")
+        if not 0 <= self.tx_rate < math.inf:
+            raise InvalidConfig("tx_rate must be finite and non-negative")
         if self.block_gas_limit <= 0 or self.mean_tx_gas <= 0:
             raise InvalidConfig("gas limit and mean transaction gas must be positive")
         if self.mean_tx_gas > self.block_gas_limit:
             raise InvalidConfig("mean_tx_gas cannot exceed the block gas limit")
-        if self.sim_duration <= 0:
-            raise InvalidConfig("sim_duration must be positive")
+        if not 0 < self.sim_duration < math.inf:
+            raise InvalidConfig("sim_duration must be positive and finite")
         if self.num_runs < 1:
             raise InvalidConfig("num_runs must be >= 1")
         if self.warmup_blocks < 0:
@@ -134,6 +134,11 @@ class SimConfig:
         if self.initial_difficulty is not None and self.initial_difficulty < MIN_DIFFICULTY:
             raise InvalidConfig(f"initial_difficulty must be >= {MIN_DIFFICULTY}")
         if self.link_delays is not None:
+            for (src, dst), delay in self.link_delays.items():
+                distinct = src != dst and {src, dst} <= set(range(self.num_nodes))
+                if not (distinct and 0 <= delay < math.inf):
+                    raise InvalidConfig(f"link delay {(src, dst)} = {delay}: need two distinct "
+                                        f"nodes below {self.num_nodes} and a finite delay >= 0")
             # Blocks are not relayed, so a block reaches a node no later than
             # one that references it only if no two-hop path is faster.
             d = self.delay
@@ -311,6 +316,9 @@ FILL_CHUNK = 1024
 class NodeState:
     """One full node: local tree, fork-choice head, pending pool.
 
+    ``head_block`` is the first-received (or mined) block of maximal total
+    difficulty in the tree: a block replaces it only when strictly heavier.
+
     The pool works on transaction ids, which are arrival indices into the
     shared ``TxTable``, and keeps no per-transaction objects:
 
@@ -334,9 +342,6 @@ class NodeState:
         "table",
         "tree",
         "head_block",
-        "head_key",
-        "receive_seq",
-        "_seq",
         "orphans",
         "epoch",
         "in_chain",
@@ -350,20 +355,12 @@ class NodeState:
         self.table = table
         self.tree = BlockTree(genesis)
         self.head_block = genesis
-        self.head_key = (-self.tree.total_difficulty[genesis.block_id], 0, genesis.block_id)
-        self.receive_seq: dict[str, int] = {genesis.block_id: 0}
-        self._seq = itertools.count(1)
         self.orphans: dict[str, list[Block]] = {}
         self.epoch = 0
         self.in_chain = np.zeros(table.count, dtype=np.bool_)
         self.cut_all = 0
         self.cut_own = 0
         self.low = 0
-
-    def note_received(self, block_id: str) -> int:
-        seq = next(self._seq)
-        self.receive_seq[block_id] = seq
-        return seq
 
     def catch_up(self, now: float, delay: float) -> None:
         """Deliver arrivals due by ``now``: own immediately, foreign delayed."""
@@ -524,9 +521,7 @@ class Simulation:
                                tuple(inj[i] for i in ids if i in inj) if inj else ())
         self.tx_arrays[block.block_id] = np.array(ids, dtype=np.intp)
         node.tree.insert_block(block)
-        seq = node.note_received(block.block_id)
         node.head_block = block
-        node.head_key = (-node.tree.total_difficulty[block.block_id], seq, block.block_id)
         node.set_in_chain(self.tx_arrays[block.block_id], True)
         self._trace(now, "mined", node.index, block)
         self._broadcast(block, node.index, now)
@@ -573,14 +568,14 @@ class Simulation:
                 # Simulator nodes are honest; a failure here is a bug.
                 raise AssertionError(f"invalid header broadcast: {b.block_id}")
             tree.insert_block(b)
-            seq = node.note_received(b.block_id)
             self._trace(now, "received", node.index, b)
-            key = (-tree.total_difficulty[b.block_id], seq, b.block_id)
-            if key < node.head_key:
-                self._reorg(node, b, key, now)
+            # Only a strictly heavier block moves the head: the first received wins a tie.
+            td = tree.total_difficulty
+            if td[b.block_id] > td[node.head_block.block_id]:
+                self._reorg(node, b, now)
             queue.extend(node.orphans.pop(b.block_id, ()))
 
-    def _reorg(self, node: NodeState, new_head: Block, new_key, now: float) -> None:
+    def _reorg(self, node: NodeState, new_head: Block, now: float) -> None:
         """Move the node's canonical state from the old head to ``new_head``:
         abandoned blocks return their transactions to the pool, adopted
         blocks claim theirs, and mining restarts on the new head."""
@@ -605,7 +600,6 @@ class Simulation:
         for blk in added:
             node.set_in_chain(self.tx_arrays[blk.block_id], True)
         node.head_block = new_head
-        node.head_key = new_key
         self._schedule_mining(node, now)
 
     def _settle(self) -> None:
@@ -621,9 +615,7 @@ class Simulation:
             node.catch_up(math.inf, self.config.propagation_delay)
             best = fork_choice_head(node.tree)
             if best != node.head_block.block_id:
-                block = node.tree.blocks[best]
-                key = (-node.tree.total_difficulty[best], node.receive_seq[best], best)
-                self._reorg(node, block, key, self.config.sim_duration)
+                self._reorg(node, node.tree.blocks[best], self.config.sim_duration)
 
     def run(self) -> RunResult:
         duration = self.config.sim_duration

@@ -124,11 +124,10 @@ class PerReceiverSimulation(Simulation):
             if not validate_header(self.params, node.tree, b.header):
                 raise AssertionError(f"invalid header broadcast: {b.block_id}")
             node.tree.insert_block(b)
-            seq = node.note_received(b.block_id)
             self._trace(now, "received", node.index, b)
-            key = (-node.tree.total_difficulty[b.block_id], seq, b.block_id)
-            if key < node.head_key:
-                self._reorg(node, b, key, now)
+            td = node.tree.total_difficulty
+            if td[b.block_id] > td[node.head_block.block_id]:
+                self._reorg(node, b, now)
             queue.extend(node.orphans.pop(b.block_id, ()))
 
 

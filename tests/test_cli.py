@@ -160,6 +160,37 @@ class TestMainExitCodes:
         assert "configuration error" in err
         assert "two post-warm-up blocks" in err
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--delay", "inf"], "propagation_delay must be finite"),
+        (["--delay", "nan"], "propagation_delay must be finite"),
+        (["--tx-rate", "nan"], "tx_rate must be finite"),
+        (["--tx-rate", "inf"], "tx_rate must be finite"),
+        (["--duration", "nan"], "sim_duration must be positive and finite"),
+        (["--duration", "inf"], "sim_duration must be positive and finite"),
+        (["--total-hashrate", "nan"], "total_hashrate must be positive and finite"),
+        (["--total-hashrate", "inf"], "total_hashrate must be positive and finite"),
+        (["--hash-shares", "nan,nan,nan"], "every hash share must be positive and finite"),
+    ])
+    def test_non_finite_input_is_config_error(self, tmp_path, monkeypatch, capsys, flags,
+                                              reason):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--runs", "1"] + flags) == EXIT_CONFIG
+        assert reason in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_thresholds_are_checked_before_the_first_run(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.chdir(tmp_path)
+        runs = mock.Mock(wraps=run_many)
+        monkeypatch.setattr(cli, "run_many", runs)
+        code = main(["--mode", "sweep", "--sweep", "3,0", "--runs", "4", "--duration", "3000"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "lambda must be a positive integer" in err
+        assert "lambda=3:" not in err
+        runs.assert_not_called()
+        assert list(tmp_path.iterdir()) == []
+
     def test_argparse_rejects_bad_flag_value(self):
         with pytest.raises(SystemExit) as err:
             parse_config(["--runs", "many"])

@@ -70,6 +70,26 @@ class TestConfigValidation:
         two_hops = {**links, (0, 2): 0.2, (2, 0): 0.2}  # equality is allowed
         dataclasses.replace(config, link_delays=two_hops).validate()
 
+    @pytest.mark.parametrize("links", [
+        {(0, 1): -1.0, (1, 0): -1.0},  # the trace's time would run backwards
+        {(0, 1): math.nan},
+        {(0, 1): math.inf},
+        {(0, 0): 0.1},
+        {(0, 2): 0.1},
+        {(-1, 1): 0.1},
+    ])
+    def test_link_delays_must_be_finite_non_negative_between_two_nodes(self, links):
+        with pytest.raises(InvalidConfig, match="need two distinct nodes below 2"):
+            SimConfig(num_nodes=2, link_delays=links).validate()
+        SimConfig(num_nodes=2, link_delays={(0, 1): 0.0, (1, 0): 0.5}).validate()
+
+    def test_infinite_hashrate_rejected(self):
+        # Solve times would all be zero: a run would mine at t = 0 forever.
+        config = SimConfig(total_hashrate=math.inf, initial_difficulty=131072,
+                           sim_duration=10.0)
+        with pytest.raises(InvalidConfig, match="total_hashrate must be positive and finite"):
+            config.validate()
+
     def test_sampled_gas_above_gas_limit_rejected(self):
         def sampler(rng, n):
             gas = rng.integers(40_000, 50_001, size=n)
@@ -594,6 +614,86 @@ class TestDelivery:
         sim.on_block_received(2, b1, 3.5)
         sim.on_block_received(2, child, 3.5)
         assert sim.nodes[2].head_block.block_id == child.block_id
+
+
+def _first_heaviest(tree) -> str:
+    """The earliest-inserted block of maximal total difficulty (dicts keep
+    insertion order, and ``max`` returns the first maximal key)."""
+    td = tree.total_difficulty
+    return max(td, key=td.get)
+
+
+class TestForkChoice:
+    @staticmethod
+    def _siblings_in_both_orders(sim):
+        """Two equally heavy siblings, received by node 1 in one order and by
+        node 2 in the other."""
+        a = sim.on_block_mined(0, 1.0)
+        c = sim.on_block_mined(3, 1.1)  # node 3 has not seen a: a sibling
+        assert a.header.difficulty == c.header.difficulty
+        for index, first, second in ((1, a, c), (2, c, a)):
+            sim.on_block_received(index, first, 1.3)
+            sim.on_block_received(index, second, 1.4)
+        return a, c
+
+    def test_first_received_of_equal_siblings_stays_head(self):
+        sim = Simulation(small_config(num_nodes=4, hash_shares=None, tx_rate=0.0), 0)
+        a, c = self._siblings_in_both_orders(sim)
+        assert [sim.nodes[i].head_block.block_id for i in (1, 2)] == [a.block_id, c.block_id]
+        heavier = sim.on_block_mined(0, 3.0)
+        assert heavier.header.parent_id == a.block_id
+        for index in (1, 2):
+            sim.on_block_received(index, heavier, 3.25)
+            assert sim.nodes[index].head_block.block_id == heavier.block_id
+
+    def test_settle_breaks_a_standing_tie_by_smaller_id(self):
+        sim = Simulation(small_config(num_nodes=4, hash_shares=None, tx_rate=0.0), 0)
+        a, c = self._siblings_in_both_orders(sim)
+        sim._settle()
+        smaller = min(a.block_id, c.block_id)
+        assert [sim.nodes[i].head_block.block_id for i in (1, 2)] == [smaller, smaller]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        weights=st.lists(st.integers(1, 5), min_size=2, max_size=5),
+        lambda_=st.integers(1, 3),
+        delay=st.floats(0.5, 3.0),
+        positions=st.none() | st.lists(st.floats(0.0, 3.0), min_size=5, max_size=5),
+        duration=st.floats(20.0, 120.0),
+    )
+    def test_head_is_first_received_heaviest_after_every_event(
+            self, seed, weights, lambda_, delay, positions, duration):
+        n = len(weights)
+        links = None if positions is None else line_link_delays(positions[:n], 0.5)
+        config = SimConfig(lambda_=lambda_, num_nodes=n,
+                           hash_shares=tuple(w / sum(weights) for w in weights),
+                           propagation_delay=delay, link_delays=links, tx_rate=2.0,
+                           sim_duration=duration, warmup_blocks=0, seed=seed)
+        sim = Simulation(config, 0)
+
+        def check():
+            for node in sim.nodes:
+                assert node.head_block.block_id == _first_heaviest(node.tree)
+
+        mined, received = sim.on_block_mined, sim.on_block_received
+
+        def on_mined(*args):
+            out = mined(*args)
+            check()
+            return out
+
+        def on_received(*args):
+            received(*args)
+            check()
+
+        sim.on_block_mined, sim.on_block_received = on_mined, on_received
+        try:
+            sim.run()
+        except ChainTooShort:  # a short draw can mine fewer than two blocks
+            pass
+        for node in sim.nodes:
+            assert node.head_block.block_id == fork_choice_head(node.tree)
 
 
 class TestInjectedTransactions:
