@@ -40,7 +40,6 @@ from .netsim import (
     Simulation,
     run_many,
     run_simulation,
-    sample_mining_time,
 )
 
 __version__ = "0.1.0"
@@ -85,6 +84,5 @@ __all__ = [
     "Simulation",
     "run_many",
     "run_simulation",
-    "sample_mining_time",
     "__version__",
 ]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -33,6 +34,7 @@ import numpy as np
 
 from .chain import (
     Block,
+    BlockHeader,
     BlockTree,
     Transaction,
     assemble_block,
@@ -204,17 +206,6 @@ def default_initial_difficulty(config: SimConfig) -> int:
     return max(MIN_DIFFICULTY, round(config.total_hashrate * m))
 
 
-def sample_mining_time(rng: np.random.Generator, difficulty: int, node_hashrate: float) -> float:
-    """Exponential solve time with mean ``difficulty / node_hashrate``.
-
-    Memorylessness makes re-sampling on a head change statistically
-    equivalent to continuing the old draw.
-    """
-    if node_hashrate <= 0:
-        raise ValueError("node hashrate must be positive")
-    return float(rng.exponential(difficulty / node_hashrate))
-
-
 def _sample_arrival_times(rate: float, duration: float, rng: np.random.Generator) -> np.ndarray:
     if rate <= 0:
         return np.empty(0, dtype=np.float64)
@@ -223,7 +214,10 @@ def _sample_arrival_times(rate: float, duration: float, rng: np.random.Generator
     est = max(64, int(rate * duration * 0.25) + 64)
     while True:
         gaps = rng.exponential(1.0 / rate, size=est)
-        chunk = t + np.cumsum(gaps)
+        # A tiny rate draws gaps near the float maximum; their sum may
+        # overflow to inf, which lies past the end as it should.
+        with np.errstate(over="ignore"):
+            chunk = t + np.cumsum(gaps)
         if chunk[-1] >= duration:
             chunks.append(chunk[chunk < duration])
             break
@@ -311,6 +305,11 @@ class EventKind(Enum):
 
 # Ids examined per vectorised step of ``NodeState.fill``.
 FILL_CHUNK = 1024
+# Standard exponentials drawn at a time for solve times.
+SOLVE_TIME_BATCH = 1024
+# Child difficulties kept per run, keyed by (parent id, timestamp); the
+# cache is emptied when full.
+DIFFICULTY_CACHE = 64
 
 
 class NodeState:
@@ -375,11 +374,12 @@ class NodeState:
         if not flag and len(tx_ids):
             self.low = min(self.low, int(np.min(tx_ids)))
 
-    def fill(self, gas: np.ndarray, gas_limit: int) -> tuple[list[int], int]:
-        """Available ids in arrival order, up to the first that would push
-        the gas sum past ``gas_limit``; the pool itself is not changed."""
+    def fill(self, gas: np.ndarray, gas_limit: int) -> tuple[np.ndarray, int]:
+        """Available ids in arrival order, as one ``intp`` array, up to the
+        first that would push the gas sum past ``gas_limit``; the pool
+        itself is not changed."""
         flags, cut_all, end = self.in_chain, self.cut_all, self.cut_own
-        taken: list[int] = []
+        taken: list[np.ndarray] = []
         total = 0
         start = self.low
         while start < end:
@@ -396,12 +396,15 @@ class NodeState:
             cum = gas[ids].cumsum()
             k = int(cum.searchsorted(gas_limit - total, "right"))
             if k:
-                taken.extend(ids[:k].tolist())
+                # A copy, so that the block does not keep the chunk alive.
+                taken.append(ids if k == len(ids) else ids[:k].copy())
                 total += int(cum[k - 1])
             if k < len(ids):
                 break
             start = stop
-        return taken, total
+        if len(taken) == 1:
+            return taken[0], total
+        return np.concatenate(taken) if taken else np.empty(0, dtype=np.intp), total
 
     def delivered(self) -> np.ndarray:
         """Boolean mask over ids: delivered to this node."""
@@ -466,6 +469,12 @@ class Simulation:
         ]
         # Block id -> the block's transaction ids as an index array.
         self.tx_arrays: dict[str, np.ndarray] = {}
+        # Injected ids in ascending order, for the range lookup per block.
+        self.injected_ids = sorted(self.table.injected)
+        # (parent id, timestamp) -> child difficulty; see ``_difficulty``.
+        self.difficulties: dict[tuple[str, int], int] = {}
+        # Unused standard exponentials for ``_solve_time``, last one next.
+        self.exponentials: list[float] = []
         # Ids of the blocks whose header passed ``validate_header``.
         self.validated: set[str] = set()
         # (time, sequence, kind, target, block, epoch); the sequence is
@@ -483,13 +492,39 @@ class Simulation:
         heapq.heappush(self.events, (time, next(self._sequence), kind, target, block, epoch))
 
     def _trace(self, time: float, kind: str, node: int, block: Block) -> None:
-        if self.trace is None:
-            return
+        """Write one trace row; callers check that a trace is open."""
         h = block.header
         self.trace.write(
             f"{time:.6f},{kind},{node},{h.block_id},{h.number},{h.difficulty},"
             f"{h.timestamp},{len(block.tx_ids)},{len(h.uncle_ids)}\n"
         )
+
+    def _difficulty(self, parent: BlockHeader, timestamp: int) -> int:
+        """Difficulty of a child of ``parent`` at ``timestamp``, evaluated
+        once for the miner's draw, the receivers' draws in the same event and
+        the mined block."""
+        key = (parent.block_id, timestamp)
+        cache = self.difficulties
+        difficulty = cache.get(key)
+        if difficulty is None:
+            if len(cache) >= DIFFICULTY_CACHE:
+                cache.clear()
+            difficulty = cache[key] = compute_difficulty(
+                self.params, parent, parent.number + 1, timestamp).result
+        return difficulty
+
+    def _solve_time(self, scale: float) -> float:
+        """Exponential draw with mean ``scale``: bit for bit what
+        ``rng.exponential(scale)`` returns, from a buffered stream.
+
+        Memorylessness makes re-sampling on a head change statistically
+        equivalent to continuing the old draw. Nothing else draws from the
+        generator after ``build_tx_table``, so drawing ahead changes nothing.
+        """
+        buffer = self.exponentials
+        if not buffer:
+            buffer.extend(reversed(self.rng.standard_exponential(SOLVE_TIME_BATCH).tolist()))
+        return scale * buffer.pop()
 
     def _schedule_mining(self, node: NodeState, now: float) -> None:
         """Draw the node's next solve time on its current head. From the end
@@ -498,32 +533,45 @@ class Simulation:
             return
         node.epoch += 1
         head = node.head_block.header
-        candidate_ts = max(head.timestamp + 1, int(now))
-        trace = compute_difficulty(self.params, head, head.number + 1, candidate_ts)
-        dt = sample_mining_time(self.rng, trace.result, self.hashrates[node.index])
+        difficulty = self._difficulty(head, max(head.timestamp + 1, int(now)))
+        dt = self._solve_time(difficulty / self.hashrates[node.index])
         self._push(now + dt, EventKind.BLOCK_MINED, node.index, epoch=node.epoch)
+
+    def _injected_in(self, tx_ids: tuple[int, ...]) -> tuple[Transaction, ...]:
+        """The injected transactions among ``tx_ids`` (ascending), in order:
+        only the injected ids within the block's id range are looked up."""
+        order = self.injected_ids
+        if not order or not tx_ids:
+            return ()
+        inj = self.table.injected
+        found = []
+        k = 0
+        lo = bisect_left(order, tx_ids[0])
+        for i in order[lo:bisect_right(order, tx_ids[-1], lo)]:
+            k = bisect_left(tx_ids, i, k)
+            if tx_ids[k] == i:
+                found.append(inj[i])
+        return tuple(found)
 
     def on_block_mined(self, node_index: int, now: float) -> Block:
         """Assemble and adopt a block on the node's current head, then
         broadcast it and restart mining on the new head."""
         node = self.nodes[node_index]
-        parent = node.head_block
-        number = parent.number + 1
-        timestamp = max(parent.header.timestamp + 1, int(now))
-        trace = compute_difficulty(self.params, parent.header, number, timestamp)
+        parent = node.head_block.header
+        timestamp = max(parent.timestamp + 1, int(now))
+        difficulty = self._difficulty(parent, timestamp)
         uncles = eligible_uncles(node.tree, parent.block_id)
         node.catch_up(now, self.config.propagation_delay)
-        tx_ids, gas_used = node.fill(self.table.gas, self.config.block_gas_limit)
-        ids = tuple(tx_ids)
-        inj = self.table.injected
-        block = assemble_block(number, parent.block_id, node.index, trace.result, timestamp,
-                               uncles, ids, gas_used,
-                               tuple(inj[i] for i in ids if i in inj) if inj else ())
-        self.tx_arrays[block.block_id] = np.array(ids, dtype=np.intp)
+        id_array, gas_used = node.fill(self.table.gas, self.config.block_gas_limit)
+        tx_ids = tuple(id_array.tolist())
+        block = assemble_block(parent.number + 1, parent.block_id, node.index, difficulty,
+                               timestamp, uncles, tx_ids, gas_used, self._injected_in(tx_ids))
+        self.tx_arrays[block.block_id] = id_array
         node.tree.insert_block(block)
         node.head_block = block
-        node.set_in_chain(self.tx_arrays[block.block_id], True)
-        self._trace(now, "mined", node.index, block)
+        node.set_in_chain(id_array, True)
+        if self.trace is not None:
+            self._trace(now, "mined", node.index, block)
         self._broadcast(block, node.index, now)
         self._schedule_mining(node, now)
         return block
@@ -547,58 +595,61 @@ class Simulation:
         re-run fork choice and reorganise if the head changed."""
         node = self.nodes[node_index]
         tree, validated = node.tree, self.validated
+        blocks, td = tree.blocks, tree.total_difficulty
         queue = [block]
         while queue:
             b = queue.pop(0)
             header = b.header
-            if b.block_id in tree:
+            bid = header.block_id
+            if bid in blocks:
                 continue
-            if header.parent_id not in tree:
+            if header.parent_id not in blocks:
                 node.orphans.setdefault(header.parent_id, []).append(b)
                 continue
-            if b.block_id in validated:
+            if bid in validated:
                 # Block ids are content digests, so the parent and the
                 # lineage are the same at every node; only whether the tree
                 # holds each uncle can differ.
-                valid = all(uid in tree for uid in header.uncle_ids)
+                valid = all(uid in blocks for uid in header.uncle_ids)
             else:
                 valid = validate_header(self.params, tree, header)
-                validated.add(b.block_id)
+                validated.add(bid)
             if not valid:
                 # Simulator nodes are honest; a failure here is a bug.
-                raise AssertionError(f"invalid header broadcast: {b.block_id}")
+                raise AssertionError(f"invalid header broadcast: {bid}")
             tree.insert_block(b)
-            self._trace(now, "received", node.index, b)
+            if self.trace is not None:
+                self._trace(now, "received", node.index, b)
             # Only a strictly heavier block moves the head: the first received wins a tie.
-            td = tree.total_difficulty
-            if td[b.block_id] > td[node.head_block.block_id]:
+            if td[bid] > td[node.head_block.header.block_id]:
                 self._reorg(node, b, now)
-            queue.extend(node.orphans.pop(b.block_id, ()))
+            queue.extend(node.orphans.pop(bid, ()))
 
     def _reorg(self, node: NodeState, new_head: Block, now: float) -> None:
         """Move the node's canonical state from the old head to ``new_head``:
         abandoned blocks return their transactions to the pool, adopted
         blocks claim theirs, and mining restarts on the new head."""
-        tree = node.tree
-        old = node.head_block
-        new = new_head
-        removed: list[Block] = []
-        added: list[Block] = []
+        blocks = node.tree.blocks
+        old = node.head_block.header
+        new = new_head.header
+        removed: list[str] = []
+        added: list[str] = []
         while old.number > new.number:
-            removed.append(old)
-            old = tree.blocks[old.header.parent_id]
+            removed.append(old.block_id)
+            old = blocks[old.parent_id].header
         while new.number > old.number:
-            added.append(new)
-            new = tree.blocks[new.header.parent_id]
+            added.append(new.block_id)
+            new = blocks[new.parent_id].header
         while old.block_id != new.block_id:
-            removed.append(old)
-            old = tree.blocks[old.header.parent_id]
-            added.append(new)
-            new = tree.blocks[new.header.parent_id]
-        for blk in removed:
-            node.set_in_chain(self.tx_arrays[blk.block_id], False)
-        for blk in added:
-            node.set_in_chain(self.tx_arrays[blk.block_id], True)
+            removed.append(old.block_id)
+            old = blocks[old.parent_id].header
+            added.append(new.block_id)
+            new = blocks[new.parent_id].header
+        tx_arrays = self.tx_arrays
+        for bid in removed:
+            node.set_in_chain(tx_arrays[bid], False)
+        for bid in added:
+            node.set_in_chain(tx_arrays[bid], True)
         node.head_block = new_head
         self._schedule_mining(node, now)
 

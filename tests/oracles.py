@@ -3,8 +3,9 @@ differential tests: the object-level transaction stream and block filling
 behind the id-level code in ``gridchain.netsim``, the per-candidate uncle
 selection behind the lineage-based one in ``gridchain.consensus``, and the
 per-receiver block delivery behind the simulator's one event per arrival
-time and one header check per block, and the library's own AES-CTR mode,
-one cipher per field, behind the meter's one AES call per record."""
+time and one header check per block, one ``rng.exponential`` call per solve
+time behind the simulator's buffered stream, and the library's own AES-CTR
+mode, one cipher per field, behind the meter's one AES call per record."""
 
 from typing import Iterable, Iterator
 
@@ -29,6 +30,14 @@ def generate_tx_arrivals(
         tx = Transaction(tx_id=i, sender=node_address(int(table.origins[i])),
                          gas=int(table.gas[i]), size_kb=TX_SIZE_KB)
         yield float(table.times[i]), tx
+
+
+def sample_mining_time(rng: np.random.Generator, difficulty: int, node_hashrate: float) -> float:
+    """Exponential solve time with mean ``difficulty / node_hashrate``, one
+    generator call per draw."""
+    if node_hashrate <= 0:
+        raise ValueError("node hashrate must be positive")
+    return float(rng.exponential(difficulty / node_hashrate))
 
 
 def node_address(index: int) -> Address:
@@ -124,7 +133,8 @@ class PerReceiverSimulation(Simulation):
             if not validate_header(self.params, node.tree, b.header):
                 raise AssertionError(f"invalid header broadcast: {b.block_id}")
             node.tree.insert_block(b)
-            self._trace(now, "received", node.index, b)
+            if self.trace is not None:
+                self._trace(now, "received", node.index, b)
             td = node.tree.total_difficulty
             if td[b.block_id] > td[node.head_block.block_id]:
                 self._reorg(node, b, now)

@@ -7,6 +7,7 @@ lines; the threshold sweep behind criteria 3 and 4 simulates 6 x 100 runs of
 
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from gridchain.meter import (
     encrypt_field,
     encrypt_record,
 )
-from gridchain.metrics import aggregate_runs
+from gridchain.metrics import RunStats, aggregate_runs, compute_run_stats
 from gridchain.netsim import SimConfig, Simulation, run_many, run_simulation
 from gridchain.cli import ExperimentSpec, main, run_e2e_demo
 
@@ -59,6 +60,19 @@ def _verdict(number: int, title: str, checks: list[tuple[bool, str]]) -> None:
     )
 
 
+def _sweep_run(job: tuple[SimConfig, int]) -> tuple[RunStats, RunStats]:
+    """One sweep run's stats with the warm-up discarded and over the full run."""
+    config, run_index = job
+    result = run_simulation(config, run_index)
+    s = result.stats
+    raw = compute_run_stats(
+        result.tree, result.head, config.sim_duration, warmup=0,
+        pending_tx=s.pending_tx, generated_tx=s.generated_tx,
+        confirmed_tx_total=s.confirmed_tx_total, uncle_only_tx=s.uncle_only_tx,
+    )
+    return s, raw
+
+
 @pytest.fixture(scope="module")
 def sweep():
     """100 runs of 3000 simulated seconds per threshold (criteria 3 and 4).
@@ -67,30 +81,19 @@ def sweep():
     100-block warm-up discarded (criterion 3 requires it) and over the full
     run (reported alongside, and the basis of criterion 4: runs start at the
     calibrated equilibrium, so there is no ramp to discard and the warm-up
-    boundary would only leak pool backlog into the measured window).
+    boundary would only leak pool backlog into the measured window). The
+    runs go to two worker processes; the results come back in run order.
     """
-    from gridchain.metrics import compute_run_stats
-
     points = {}
-    for lam in SWEEP_LAMBDAS:
-        config = SimConfig(lambda_=lam, sim_duration=3000.0, num_runs=100,
-                           seed=ACCEPT_SEED)
-        t0 = time.perf_counter()
-        warm, raw = [], []
-        for i in range(config.num_runs):
-            result = run_simulation(config, i)
-            s = result.stats
-            warm.append(s)
-            raw.append(
-                compute_run_stats(
-                    result.tree, result.head, config.sim_duration, warmup=0,
-                    pending_tx=s.pending_tx, generated_tx=s.generated_tx,
-                    confirmed_tx_total=s.confirmed_tx_total,
-                    uncle_only_tx=s.uncle_only_tx,
-                )
-            )
-        points[lam] = (aggregate_runs(warm, lambda_=lam), aggregate_runs(raw, lambda_=lam))
-        print(f"[sweep] lambda={lam}: {time.perf_counter() - t0:.1f} s wall", flush=True)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        for lam in SWEEP_LAMBDAS:
+            config = SimConfig(lambda_=lam, sim_duration=3000.0, num_runs=100,
+                               seed=ACCEPT_SEED)
+            t0 = time.perf_counter()
+            jobs = [(config, i) for i in range(config.num_runs)]
+            warm, raw = zip(*pool.map(_sweep_run, jobs, chunksize=10))
+            points[lam] = (aggregate_runs(warm, lambda_=lam), aggregate_runs(raw, lambda_=lam))
+            print(f"[sweep] lambda={lam}: {time.perf_counter() - t0:.1f} s wall", flush=True)
     return points
 
 

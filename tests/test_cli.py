@@ -358,6 +358,29 @@ class TestE2EDemo:
         report = run_e2e_demo(self.demo_spec())
         assert 2.0 <= report.stats.mean_block_interval <= 6.0
 
+    def test_blocks_hold_the_injected_transactions_a_full_scan_finds(self, monkeypatch):
+        runs, run_simulation = [], cli.run_simulation
+
+        def keep(*args, **kwargs):
+            runs.append(run_simulation(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_simulation", keep)
+        run_e2e_demo(self.demo_spec(propagation_delay=1.0))
+        (result,) = runs
+        inj = result.table.injected
+        order = sorted(inj)
+        held = skipped = 0
+        for tree in result.trees:
+            for b in tree.blocks.values():
+                assert b.transactions == tuple(inj[i] for i in b.tx_ids if i in inj)
+                held += len(b.transactions)
+                if b.tx_ids:  # injected ids inside the block's range but not in it
+                    inside = [i for i in order if b.tx_ids[0] <= i <= b.tx_ids[-1]]
+                    skipped += len(inside) - len(b.transactions)
+        assert held >= len(inj) > 100
+        assert skipped > 0
+
     def test_corrupt_record_counts_as_decryption_failure(self, monkeypatch):
         def corrupt(enc, key):
             raise MalformedPlaintext("corrupt")

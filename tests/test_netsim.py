@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import io
 import math
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridchain import netsim
-from gridchain.chain import TX_SIZE_KB, Transaction, make_block
-from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head
+from gridchain.chain import TX_SIZE_KB, BlockTree, Transaction, make_block
+from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head, validate_header
 from gridchain.contract import CallKind, ContractCall, dump_state, replay_chain
 from gridchain.metrics import ChainTooShort
 from gridchain.netsim import (
@@ -19,15 +20,21 @@ from gridchain.netsim import (
     SimConfig,
     Simulation,
     TRACE_HEADER,
+    build_tx_table,
     default_initial_difficulty,
     estimate_equilibrium_interval,
     run_many,
     run_simulation,
-    sample_mining_time,
 )
 
 from conftest import addr, line_link_delays, tx
-from oracles import PerReceiverSimulation, fill_block, generate_tx_arrivals, node_address
+from oracles import (
+    PerReceiverSimulation,
+    fill_block,
+    generate_tx_arrivals,
+    node_address,
+    sample_mining_time,
+)
 
 
 def small_config(**overrides):
@@ -129,6 +136,17 @@ class TestMiningTime:
         with pytest.raises(ValueError):
             sample_mining_time(np.random.default_rng(0), 131072, 0.0)
 
+    def test_buffered_stream_matches_per_call_draws_bit_for_bit(self):
+        sim = Simulation(small_config(), 0)
+        reference = copy.deepcopy(sim.rng)
+        draw = np.random.default_rng(4)
+        n = 3 * netsim.SOLVE_TIME_BATCH + 7  # across several refills
+        difficulties = draw.integers(MIN_DIFFICULTY, 10**12, size=n).tolist()
+        hashrates = (10.0 ** draw.uniform(-3.0, 9.0, size=n)).tolist()
+        got = [sim._solve_time(d / h) for d, h in zip(difficulties, hashrates)]
+        want = [sample_mining_time(reference, d, h) for d, h in zip(difficulties, hashrates)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
 
 class TestArrivals:
     def test_count_within_three_sigma(self):
@@ -154,6 +172,14 @@ class TestArrivals:
         times = [t for t, _ in generate_tx_arrivals(config, np.random.default_rng(11))]
         assert times == sorted(times)
         assert all(0 <= t < 50.0 for t in times)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rate", [3e-308, 1e-300, 5e-324])
+    def test_tiny_rate_has_no_arrivals_and_no_warning(self, rate):
+        # Gaps near the float maximum overflow their running sum to inf.
+        config = SimConfig(tx_rate=rate, sim_duration=100.0)
+        for seed in range(1, 6):
+            assert build_tx_table(config, np.random.default_rng(seed)).count == 0
 
 
 class TestFillBlock:
@@ -309,13 +335,13 @@ class TestPool:
             expected = fill_block(pool, gas_limit)
             with mock.patch.object(netsim, "FILL_CHUNK", chunk):
                 ids, gas_used = node.fill(sim.table.gas, gas_limit)
-            assert ids == [tx.tx_id for tx in expected]
-            assert all(type(i) is int for i in ids)
+            assert ids.dtype == np.intp
+            assert ids.tolist() == [tx.tx_id for tx in expected]
             assert gas_used == sum(tx.gas for tx in expected)
             assert node.pending_ids() == {tx.tx_id for tx in pool}
             if mine:  # the filled block joins the chain
                 node.set_in_chain(ids, 1)
-                on_chain.update(ids)
+                on_chain.update(ids.tolist())
 
 
 class TestEquilibriumCalibration:
@@ -694,6 +720,35 @@ class TestForkChoice:
             pass
         for node in sim.nodes:
             assert node.head_block.block_id == fork_choice_head(node.tree)
+
+
+class TestHeadersOnDrawnConfigs:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num_nodes=st.integers(1, 6),
+        weights=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
+        delay=st.floats(0.0, 3.0),
+        lambda_=st.integers(1, 12),
+        tx_rate=st.floats(0.0, 30.0),
+        duration=st.floats(20.0, 400.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_block_passes_validate_header_in_a_fresh_tree(
+            self, num_nodes, weights, delay, lambda_, tx_rate, duration, seed):
+        shares = tuple(w / sum(weights[:num_nodes]) for w in weights[:num_nodes])
+        config = SimConfig(lambda_=lambda_, num_nodes=num_nodes, hash_shares=shares,
+                           propagation_delay=delay, tx_rate=tx_rate, sim_duration=duration,
+                           warmup_blocks=0, seed=seed)
+        sim = Simulation(config, 0)
+        try:
+            sim.run()
+        except ChainTooShort:  # the trees are complete; only the stats failed
+            pass
+        blocks = sorted(sim.nodes[0].tree.blocks.values(), key=lambda b: b.number)
+        fresh = BlockTree(sim.genesis)
+        for b in blocks[1:]:  # parents and uncles are lower, so inserted first
+            assert validate_header(sim.params, fresh, b.header)
+            fresh.insert_block(b)
 
 
 class TestInjectedTransactions:
