@@ -13,6 +13,7 @@ All arithmetic is exact integer arithmetic with floor division.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -155,8 +156,9 @@ def validate_uncle(tree: BlockTree, nephew: BlockHeader, uncle_id: str) -> bool:
     return True
 
 
-def eligible_uncles(tree: BlockTree, new_parent: str) -> list[str]:
-    """Up to two uncle candidates for a child of ``new_parent``.
+def eligible_uncles(tree: BlockTree, new_parent: str, known: Container[str]) -> list[str]:
+    """Up to two uncle candidates for a child of ``new_parent``, among the
+    blocks whose ids are in ``known`` (``tree.blocks`` for all of them).
 
     Deterministic: candidates are ordered by block number ascending, then by
     block id, and the first two valid ones are returned. The checks are
@@ -177,7 +179,7 @@ def eligible_uncles(tree: BlockTree, new_parent: str) -> list[str]:
         if len(ids) == 1:
             continue
         for bid in sorted(ids):
-            if (bid not in ancestry and bid not in included
+            if (bid in known and bid not in ancestry and bid not in included
                     and blocks[bid].header.parent_id in ancestry):
                 out.append(bid)
                 if len(out) == MAX_UNCLES_PER_BLOCK:

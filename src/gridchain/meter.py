@@ -307,13 +307,6 @@ def simulate_meter_stream(
     return records
 
 
-def save_meter_stream(records: list[MeterRecord], path) -> None:
-    """Write one ``device_id,unix_time,kwh`` line per record."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(f"{rec.device_id},{rec.collected_at},{rec.energy_kwh:.3f}\n")
-
-
 class MeterStreamError(ValueError):
     """A meter stream file that cannot be read or has malformed lines."""
 

@@ -5,7 +5,10 @@ propagation delay. Mining is statistical: each node's solve time for its
 current candidate is exponential with mean ``difficulty / node_hashrate``;
 no hashes are ever computed. Blocks are assembled greedily from the node's
 pending pool up to the gas limit, carry up to two uncles, and are delivered
-to every peer after the propagation delay.
+to every peer after the propagation delay. Block ids digest their
+contents, so a run keeps one block tree: each header is checked once, when
+its block is mined, and a node differs from another only in the ids it
+holds, its head, its orphan buffer and its pool.
 
 Determinism: a run is a pure function of (config, run_index). Events are
 processed in (time, sequence) order from a single heap, every random draw
@@ -313,10 +316,13 @@ DIFFICULTY_CACHE = 64
 
 
 class NodeState:
-    """One full node: local tree, fork-choice head, pending pool.
+    """One full node: the ids it holds of the run's block tree, fork-choice
+    head, pending pool.
 
-    ``head_block`` is the first-received (or mined) block of maximal total
-    difficulty in the tree: a block replaces it only when strictly heavier.
+    ``tree`` is the run's one shared block store; ``known`` holds the ids of
+    the blocks this node has mined or received. ``head_block`` is the
+    first-received (or mined) block of maximal total difficulty among them:
+    a block replaces it only when strictly heavier.
 
     The pool works on transaction ids, which are arrival indices into the
     shared ``TxTable``, and keeps no per-transaction objects:
@@ -340,6 +346,7 @@ class NodeState:
         "index",
         "table",
         "tree",
+        "known",
         "head_block",
         "orphans",
         "epoch",
@@ -349,11 +356,12 @@ class NodeState:
         "low",
     )
 
-    def __init__(self, index: int, genesis: Block, table: TxTable):
+    def __init__(self, index: int, tree: BlockTree, table: TxTable):
         self.index = index
         self.table = table
-        self.tree = BlockTree(genesis)
-        self.head_block = genesis
+        self.tree = tree
+        self.known = {tree.genesis_id}
+        self.head_block = tree.blocks[tree.genesis_id]
         self.orphans: dict[str, list[Block]] = {}
         self.epoch = 0
         self.in_chain = np.zeros(table.count, dtype=np.bool_)
@@ -406,21 +414,12 @@ class NodeState:
             return taken[0], total
         return np.concatenate(taken) if taken else np.empty(0, dtype=np.intp), total
 
-    def delivered(self) -> np.ndarray:
-        """Boolean mask over ids: delivered to this node."""
-        mask = np.zeros(self.table.count, dtype=np.bool_)
-        mask[: self.cut_all] = True
-        lo, hi = self.cut_all, self.cut_own
-        mask[lo:hi] = self.table.origins[lo:hi] == self.index
-        return mask
-
-    def pending_ids(self) -> set[int]:
-        """Delivered, not on the canonical chain: the node's pool."""
-        return set(np.flatnonzero(self.delivered() & ~self.in_chain).tolist())
-
 
 @dataclass
 class RunResult:
+    """``trees`` has one entry per node, each the run's one shared block
+    store; ``tree`` is that store too."""
+
     trees: list[BlockTree]
     heads: list[str]
     stats: RunStats
@@ -460,7 +459,8 @@ class Simulation:
             else default_initial_difficulty(config)
         )
         self.genesis = make_genesis(difficulty0)
-        self.nodes = [NodeState(i, self.genesis, self.table) for i in range(config.num_nodes)]
+        self.tree = BlockTree(self.genesis)
+        self.nodes = [NodeState(i, self.tree, self.table) for i in range(config.num_nodes)]
         self.hashrates = [config.total_hashrate * share for share in config.shares()]
         # Per sender: (delay, receiver) for every other node, in index order.
         self.links = [
@@ -475,8 +475,6 @@ class Simulation:
         self.difficulties: dict[tuple[str, int], int] = {}
         # Unused standard exponentials for ``_solve_time``, last one next.
         self.exponentials: list[float] = []
-        # Ids of the blocks whose header passed ``validate_header``.
-        self.validated: set[str] = set()
         # (time, sequence, kind, target, block, epoch); the sequence is
         # unique, so the heap orders by (time, sequence) and compares nothing
         # else. A mining event targets a node index, a delivery a tuple of
@@ -554,20 +552,26 @@ class Simulation:
         return tuple(found)
 
     def on_block_mined(self, node_index: int, now: float) -> Block:
-        """Assemble and adopt a block on the node's current head, then
-        broadcast it and restart mining on the new head."""
+        """Assemble a block on the node's current head, check its header
+        once for the run, adopt it, then broadcast it and restart mining on
+        the new head."""
         node = self.nodes[node_index]
+        tree = self.tree
         parent = node.head_block.header
         timestamp = max(parent.timestamp + 1, int(now))
         difficulty = self._difficulty(parent, timestamp)
-        uncles = eligible_uncles(node.tree, parent.block_id)
+        uncles = eligible_uncles(tree, parent.block_id, node.known)
         node.catch_up(now, self.config.propagation_delay)
         id_array, gas_used = node.fill(self.table.gas, self.config.block_gas_limit)
         tx_ids = tuple(id_array.tolist())
         block = assemble_block(parent.number + 1, parent.block_id, node.index, difficulty,
                                timestamp, uncles, tx_ids, gas_used, self._injected_in(tx_ids))
+        if not validate_header(self.params, tree, block.header):
+            # Simulator nodes are honest; a failure here is a bug.
+            raise AssertionError(f"invalid header mined: {block.block_id}")
         self.tx_arrays[block.block_id] = id_array
-        node.tree.insert_block(block)
+        tree.insert_block(block)
+        node.known.add(block.block_id)
         node.head_block = block
         node.set_in_chain(id_array, True)
         if self.trace is not None:
@@ -591,33 +595,28 @@ class Simulation:
             self._push(time, EventKind.BLOCK_RECEIVED, tuple(receivers), block)
 
     def on_block_received(self, node_index: int, block: Block, now: float) -> None:
-        """Insert a delivered block (buffering on unknown parents), then
-        re-run fork choice and reorganise if the head changed."""
+        """Take a delivered block (buffering on unknown parents), then
+        reorganise if it is strictly heavier than the head.
+
+        The header passed ``validate_header`` when it was mined, and block
+        ids digest their contents, so the node checks only that it holds the
+        parent and the uncles."""
         node = self.nodes[node_index]
-        tree, validated = node.tree, self.validated
-        blocks, td = tree.blocks, tree.total_difficulty
+        known, td = node.known, self.tree.total_difficulty
         queue = [block]
         while queue:
             b = queue.pop(0)
             header = b.header
             bid = header.block_id
-            if bid in blocks:
+            if bid in known:
                 continue
-            if header.parent_id not in blocks:
+            if header.parent_id not in known:
                 node.orphans.setdefault(header.parent_id, []).append(b)
                 continue
-            if bid in validated:
-                # Block ids are content digests, so the parent and the
-                # lineage are the same at every node; only whether the tree
-                # holds each uncle can differ.
-                valid = all(uid in blocks for uid in header.uncle_ids)
-            else:
-                valid = validate_header(self.params, tree, header)
-                validated.add(bid)
-            if not valid:
+            if not all(uid in known for uid in header.uncle_ids):
                 # Simulator nodes are honest; a failure here is a bug.
                 raise AssertionError(f"invalid header broadcast: {bid}")
-            tree.insert_block(b)
+            known.add(bid)
             if self.trace is not None:
                 self._trace(now, "received", node.index, b)
             # Only a strictly heavier block moves the head: the first received wins a tie.
@@ -629,7 +628,7 @@ class Simulation:
         """Move the node's canonical state from the old head to ``new_head``:
         abandoned blocks return their transactions to the pool, adopted
         blocks claim theirs, and mining restarts on the new head."""
-        blocks = node.tree.blocks
+        blocks = self.tree.blocks
         old = node.head_block.header
         new = new_head.header
         removed: list[str] = []
@@ -659,14 +658,18 @@ class Simulation:
         During the run each node breaks total-difficulty ties by first
         receipt (what a live client does). A tie still standing after the
         final deliveries would leave nodes split forever, so the measurement
-        head is chosen with the tree-only rule (smaller block id), which is
-        identical everywhere once the trees agree.
+        head is chosen with the tree-only rule (smaller block id), once for
+        the run: every node holds every block by now.
         """
+        tree = self.tree
+        best = fork_choice_head(tree)
         for node in self.nodes:
+            if len(node.known) != len(tree):
+                raise AssertionError(f"node {node.index} holds {len(node.known)} "
+                                     f"of {len(tree)} blocks after the last delivery")
             node.catch_up(math.inf, self.config.propagation_delay)
-            best = fork_choice_head(node.tree)
             if best != node.head_block.block_id:
-                self._reorg(node, node.tree.blocks[best], self.config.sim_duration)
+                self._reorg(node, tree.blocks[best], self.config.sim_duration)
 
     def run(self) -> RunResult:
         duration = self.config.sim_duration
@@ -685,8 +688,8 @@ class Simulation:
         self._settle()
 
         node0 = self.nodes[0]
-        tree0, head0 = node0.tree, node0.head_block.block_id
-        chain = tree0.canonical_chain(head0)
+        head0 = node0.head_block.block_id
+        chain = self.tree.canonical_chain(head0)
         chain_tx = sum(len(b.tx_ids) for b in chain)
         confirmed_total = int(np.count_nonzero(node0.in_chain))
         if chain_tx != confirmed_total:
@@ -695,7 +698,7 @@ class Simulation:
         # ``_settle`` delivered every transaction to node 0, so none is left
         # only on a stale block: the uncle-only term is zero.
         stats = compute_run_stats(
-            tree0,
+            self.tree,
             head0,
             duration,
             warmup=min(self.config.warmup_blocks, max(0, len(chain) - 2)),

@@ -5,7 +5,9 @@ selection behind the lineage-based one in ``gridchain.consensus``, and the
 per-receiver block delivery behind the simulator's one event per arrival
 time and one header check per block, one ``rng.exponential`` call per solve
 time behind the simulator's buffered stream, and the library's own AES-CTR
-mode, one cipher per field, behind the meter's one AES call per record."""
+mode, one cipher per field, behind the meter's one AES call per record.
+Also the readers and writers that only tests need: a node's delivered set
+and pool, and a meter stream file."""
 
 from typing import Iterable, Iterator
 
@@ -14,8 +16,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from gridchain.chain import TX_SIZE_KB, Address, Block, BlockHeader, BlockTree, Transaction
 from gridchain.consensus import MAX_UNCLE_GENERATIONS, MAX_UNCLES_PER_BLOCK, validate_header
-from gridchain.meter import SymmetricKey, field_counter
-from gridchain.netsim import EventKind, SimConfig, Simulation, build_tx_table
+from gridchain.meter import MeterRecord, SymmetricKey, field_counter
+from gridchain.netsim import EventKind, NodeState, SimConfig, Simulation, build_tx_table
 
 
 def generate_tx_arrivals(
@@ -110,9 +112,31 @@ def eligible_uncles(tree: BlockTree, new_parent: str) -> list[str]:
     return out
 
 
+def delivered(node: NodeState) -> np.ndarray:
+    """Boolean mask over ids: delivered to ``node``."""
+    mask = np.zeros(node.table.count, dtype=np.bool_)
+    mask[: node.cut_all] = True
+    lo, hi = node.cut_all, node.cut_own
+    mask[lo:hi] = node.table.origins[lo:hi] == node.index
+    return mask
+
+
+def pending_ids(node: NodeState) -> set[int]:
+    """Delivered, not on the canonical chain: the node's pool."""
+    return set(np.flatnonzero(delivered(node) & ~node.in_chain).tolist())
+
+
+def save_meter_stream(records: list[MeterRecord], path) -> None:
+    """Write one ``device_id,unix_time,kwh`` line per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(f"{rec.device_id},{rec.collected_at},{rec.energy_kwh:.3f}\n")
+
+
 class PerReceiverSimulation(Simulation):
     """The simulator with one delivery event per (block, receiver), pushed
-    in receiver order, and a full header check at every receiver."""
+    in receiver order, and a full header check at every receiver: against
+    the run's tree, plus that the node holds every uncle."""
 
     def _broadcast(self, block: Block, sender: int, now: float) -> None:
         for dst in range(self.config.num_nodes):
@@ -122,20 +146,22 @@ class PerReceiverSimulation(Simulation):
 
     def on_block_received(self, node_index: int, block: Block, now: float) -> None:
         node = self.nodes[node_index]
+        known = node.known
         queue = [block]
         while queue:
             b = queue.pop(0)
-            if b.block_id in node.tree:
+            if b.block_id in known:
                 continue
-            if b.header.parent_id not in node.tree:
+            if b.header.parent_id not in known:
                 node.orphans.setdefault(b.header.parent_id, []).append(b)
                 continue
-            if not validate_header(self.params, node.tree, b.header):
+            if not (validate_header(self.params, self.tree, b.header)
+                    and all(uid in known for uid in b.header.uncle_ids)):
                 raise AssertionError(f"invalid header broadcast: {b.block_id}")
-            node.tree.insert_block(b)
+            known.add(b.block_id)
             if self.trace is not None:
                 self._trace(now, "received", node.index, b)
-            td = node.tree.total_difficulty
+            td = self.tree.total_difficulty
             if td[b.block_id] > td[node.head_block.block_id]:
                 self._reorg(node, b, now)
             queue.extend(node.orphans.pop(b.block_id, ()))

@@ -371,13 +371,12 @@ class TestE2EDemo:
         inj = result.table.injected
         order = sorted(inj)
         held = skipped = 0
-        for tree in result.trees:
-            for b in tree.blocks.values():
-                assert b.transactions == tuple(inj[i] for i in b.tx_ids if i in inj)
-                held += len(b.transactions)
-                if b.tx_ids:  # injected ids inside the block's range but not in it
-                    inside = [i for i in order if b.tx_ids[0] <= i <= b.tx_ids[-1]]
-                    skipped += len(inside) - len(b.transactions)
+        for b in result.tree.blocks.values():
+            assert b.transactions == tuple(inj[i] for i in b.tx_ids if i in inj)
+            held += len(b.transactions)
+            if b.tx_ids:  # injected ids inside the block's range but not in it
+                inside = [i for i in order if b.tx_ids[0] <= i <= b.tx_ids[-1]]
+                skipped += len(inside) - len(b.transactions)
         assert held >= len(inj) > 100
         assert skipped > 0
 

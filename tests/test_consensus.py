@@ -287,19 +287,21 @@ class TestUncles:
 
     def test_eligible_uncles_empty_on_linear_chain(self, tree, genesis):
         spine = build_spine(tree, genesis, 4)
-        assert eligible_uncles(tree, spine[4].block_id) == []
+        assert eligible_uncles(tree, spine[4].block_id, tree.blocks) == []
 
     def test_eligible_uncles_single_stale_sibling(self, tree, genesis):
         spine = build_spine(tree, genesis, 3)
         stale = extend(tree, spine[2], difficulty=131073, miner=2, ts=66)
-        assert eligible_uncles(tree, spine[3].block_id) == [stale.block_id]
+        assert eligible_uncles(tree, spine[3].block_id, tree.blocks) == [stale.block_id]
+        known = tree.blocks.keys() - {stale.block_id}  # not received yet
+        assert eligible_uncles(tree, spine[3].block_id, known) == []
 
     def test_eligible_uncles_two_lowest_numbered(self, tree, genesis):
         spine = build_spine(tree, genesis, 4)
         s1 = extend(tree, spine[1], difficulty=131073, miner=2, ts=31)  # number 2
         s2 = extend(tree, spine[2], difficulty=131073, miner=2, ts=32)  # number 3
         s3 = extend(tree, spine[3], difficulty=131073, miner=2, ts=33)  # number 4
-        got = eligible_uncles(tree, spine[4].block_id)
+        got = eligible_uncles(tree, spine[4].block_id, tree.blocks)
         assert got == [s1.block_id, s2.block_id]
         assert s3.block_id not in got
 
@@ -312,7 +314,7 @@ class TestUncles:
         with pytest.raises(UnknownBlock):
             validate_uncle(tree, nephew, stale.block_id)
         with pytest.raises(UnknownBlock):
-            eligible_uncles(tree, "missing")
+            eligible_uncles(tree, "missing", tree.blocks)
         with pytest.raises(UnknownParent):
             validate_header(DifficultyParams(lambda_=3), tree, nephew)
 
@@ -341,7 +343,7 @@ def compare_uncle_selection(tree: BlockTree) -> Counter:
     every (nephew parent, candidate) pair; count the edge cases met."""
     seen: Counter = Counter()
     for pid in tree.blocks:
-        assert eligible_uncles(tree, pid) == oracles.eligible_uncles(tree, pid)
+        assert eligible_uncles(tree, pid, tree.blocks) == oracles.eligible_uncles(tree, pid)
         probe = oracles.probe_header(tree, pid)
         lineage = [pid] + tree.ancestors(pid, MAX_UNCLE_GENERATIONS)
         included = {u for a in lineage for u in tree.blocks[a].header.uncle_ids}
@@ -376,10 +378,10 @@ class TestUncleSelectionOracle:
                            sim_duration=200.0, warmup_blocks=0, seed=1)
         result = run_simulation(config, 0)
         assert result.stats.included_uncles > 0
-        for tree in result.trees:
-            assert tree.lineage.keys() == tree.blocks.keys()
-            for bid in tree.blocks:
-                assert tree.lineage[bid] == (bid, *tree.ancestors(bid, 7))
+        tree = result.tree
+        assert tree.lineage.keys() == tree.blocks.keys()
+        for bid in tree.blocks:
+            assert tree.lineage[bid] == (bid, *tree.ancestors(bid, 7))
 
 
 def header_for(parent_block, tree):

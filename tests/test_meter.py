@@ -28,13 +28,12 @@ from gridchain.meter import (
     fresh_nonce,
     load_meter_stream,
     pack_record_fields,
-    save_meter_stream,
     simulate_meter_stream,
     unpack_record_fields,
 )
 
 from conftest import addr
-from oracles import crypt_record_fieldwise, ctr_keystream_xor
+from oracles import crypt_record_fieldwise, ctr_keystream_xor, save_meter_stream
 
 # AES-256-CTR vectors published in NIST SP 800-38A (F.5.5 encrypt / F.5.6
 # decrypt): 256-bit key, standard initial counter block, four blocks.

@@ -33,6 +33,7 @@ from oracles import (
     fill_block,
     generate_tx_arrivals,
     node_address,
+    pending_ids,
     sample_mining_time,
 )
 
@@ -244,11 +245,11 @@ class TestPool:
         times, origins = sim.table.times, sim.table.origins
         own = int(np.flatnonzero(origins == 0)[5])
         node.catch_up(float(times[own]), 1.0)  # own: delivered on arrival
-        assert own in node.pending_ids()
-        assert own + 1 not in node.pending_ids()
+        assert own in pending_ids(node)
+        assert own + 1 not in pending_ids(node)
         foreign = int(np.flatnonzero(origins != 0)[20])
         node.catch_up(float(times[foreign]), 0.0)  # foreign: after the delay
-        assert set(range(foreign + 1)) <= node.pending_ids()
+        assert set(range(foreign + 1)) <= pending_ids(node)
 
     def test_pool_is_delivered_minus_chain_after_every_event(self, monkeypatch):
         config = small_config(lambda_=1, num_nodes=4, propagation_delay=2.0, tx_rate=20.0,
@@ -260,7 +261,7 @@ class TestPool:
         def check():
             for node in sim.nodes:
                 expected = _delivered_ids(sim, node, caught_up[node.index]) - _chain_ids(node)
-                assert node.pending_ids() == expected
+                assert pending_ids(node) == expected
             counts["checked"] += 1
 
         catch_up = NodeState.catch_up
@@ -338,7 +339,7 @@ class TestPool:
             assert ids.dtype == np.intp
             assert ids.tolist() == [tx.tx_id for tx in expected]
             assert gas_used == sum(tx.gas for tx in expected)
-            assert node.pending_ids() == {tx.tx_id for tx in pool}
+            assert pending_ids(node) == {tx.tx_id for tx in pool}
             if mine:  # the filled block joins the chain
                 node.set_in_chain(ids, 1)
                 on_chain.update(ids.tolist())
@@ -394,8 +395,6 @@ class TestRunSimulation:
         for seed in (1, 2, 3):
             result = run_simulation(small_config(seed=seed), 0)
             assert len(set(result.heads)) == 1
-            sizes = {len(t) for t in result.trees}
-            assert len(sizes) == 1
 
     def test_head_matches_pure_fork_choice_at_end(self):
         result = run_simulation(small_config(), 0)
@@ -497,11 +496,13 @@ class TestEventSemantics:
         genesis = node.head_block
         first = sim.on_block_mined(0, 4.7)
         assert first.header.timestamp == max(genesis.header.timestamp + 1, 4)
-        node.head_block = first
-        forged = dataclasses.replace(first.header, timestamp=5)
-        node.head_block = dataclasses.replace(first, header=forged)
+        parent = sim.on_block_mined(0, 5.0)
+        assert parent.header.timestamp == max(first.header.timestamp + 1, 5) == 5
         second = sim.on_block_mined(0, 5.2)
-        assert second.header.timestamp == 6
+        assert second.header.parent_id == parent.block_id
+        assert second.header.timestamp == max(parent.header.timestamp + 1, 5) == 6
+        third = sim.on_block_mined(0, 9.9)
+        assert third.header.timestamp == max(second.header.timestamp + 1, 9) == 9
 
     def test_first_mined_block_fields(self):
         config = small_config(tx_rate=10.0)
@@ -536,7 +537,7 @@ class TestEventSemantics:
         sim.on_block_received(1, rival, 5.25)
         node1 = sim.nodes[1]
         assert node1.head_block.block_id == b2.block_id
-        assert rival.block_id in node1.tree
+        assert rival.block_id in node1.known
 
     def test_out_of_order_delivery_buffers_and_matches_in_order(self):
         config = small_config(tx_rate=0.0)
@@ -550,11 +551,11 @@ class TestEventSemantics:
         sim_a.on_block_received(1, b2, 2.75)
         # out-of-order delivery to node 2: child first, buffered
         sim_a.on_block_received(2, b2, 2.75)
-        assert b2.block_id not in sim_a.nodes[2].tree
+        assert b2.block_id not in sim_a.nodes[2].known
         sim_a.on_block_received(2, b1, 3.0)
-        assert b2.block_id in sim_a.nodes[2].tree
+        assert b2.block_id in sim_a.nodes[2].known
         assert sim_a.nodes[2].head_block.block_id == b2.block_id
-        assert set(sim_a.nodes[2].tree.blocks) == set(sim_a.nodes[1].tree.blocks)
+        assert sim_a.nodes[2].known == sim_a.nodes[1].known
 
     def test_stale_sibling_becomes_uncle(self):
         config = small_config(tx_rate=0.0)
@@ -565,6 +566,19 @@ class TestEventSemantics:
         child = sim.on_block_mined(0, 3.0)
         assert child.header.parent_id == a1.block_id
         assert child.header.uncle_ids == (b1.block_id,)
+
+    def test_block_not_yet_received_is_no_uncle(self):
+        config = small_config(tx_rate=0.0)
+        sim = Simulation(config, 0)
+        a1 = sim.on_block_mined(0, 1.0)
+        b1 = sim.on_block_mined(1, 1.1)  # a sibling, in the run's tree at once
+        child = sim.on_block_mined(0, 3.0)  # before node 0 receives b1
+        assert child.header.parent_id == a1.block_id
+        assert child.header.uncle_ids == ()
+        sim.on_block_received(0, b1, 3.5)
+        grandchild = sim.on_block_mined(0, 4.0)
+        assert grandchild.header.parent_id == child.block_id
+        assert grandchild.header.uncle_ids == (b1.block_id,)
 
 
 def _traced_run(sim_class, config):
@@ -631,22 +645,35 @@ class TestDelivery:
         sim.on_block_received(1, a1, 1.25)
         sim.on_block_received(2, a1, 1.25)  # node 2 never gets b1
         sim.on_block_received(1, child, 3.25)
-        assert child.block_id in sim.validated
+        assert child.block_id in sim.nodes[1].known
         with mock.patch.object(netsim, "validate_header") as validate:
             with pytest.raises(AssertionError, match="invalid header broadcast"):
                 sim.on_block_received(2, child, 3.25)
         validate.assert_not_called()
-        assert child.block_id not in sim.nodes[2].tree
+        assert child.block_id not in sim.nodes[2].known
         sim.on_block_received(2, b1, 3.5)
         sim.on_block_received(2, child, 3.5)
         assert sim.nodes[2].head_block.block_id == child.block_id
 
 
-def _first_heaviest(tree) -> str:
-    """The earliest-inserted block of maximal total difficulty (dicts keep
-    insertion order, and ``max`` returns the first maximal key)."""
-    td = tree.total_difficulty
-    return max(td, key=td.get)
+class _AddOrder(set):
+    """A node's ``known`` set that also lists its ids in the order the node
+    mined or received them."""
+
+    def __init__(self, ids):
+        super().__init__(ids)
+        self.order = list(ids)
+
+    def add(self, block_id: str) -> None:
+        if block_id not in self:
+            self.order.append(block_id)
+            super().add(block_id)
+
+
+def _first_heaviest(order: list[str], td: dict[str, int]) -> str:
+    """The earliest of ``order`` with maximal total difficulty (``max``
+    returns the first maximal item)."""
+    return max(order, key=td.get)
 
 
 class TestForkChoice:
@@ -675,9 +702,13 @@ class TestForkChoice:
     def test_settle_breaks_a_standing_tie_by_smaller_id(self):
         sim = Simulation(small_config(num_nodes=4, hash_shares=None, tx_rate=0.0), 0)
         a, c = self._siblings_in_both_orders(sim)
+        with pytest.raises(AssertionError, match="node 0 holds 2 of 3 blocks"):
+            sim._settle()  # settling needs every delivery done
+        sim.on_block_received(0, c, 1.5)
+        sim.on_block_received(3, a, 1.5)
         sim._settle()
         smaller = min(a.block_id, c.block_id)
-        assert [sim.nodes[i].head_block.block_id for i in (1, 2)] == [smaller, smaller]
+        assert [node.head_block.block_id for node in sim.nodes] == [smaller] * 4
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -697,10 +728,13 @@ class TestForkChoice:
                            propagation_delay=delay, link_delays=links, tx_rate=2.0,
                            sim_duration=duration, warmup_blocks=0, seed=seed)
         sim = Simulation(config, 0)
+        for node in sim.nodes:
+            node.known = _AddOrder(node.known)
 
         def check():
             for node in sim.nodes:
-                assert node.head_block.block_id == _first_heaviest(node.tree)
+                assert node.head_block.block_id == _first_heaviest(
+                    node.known.order, sim.tree.total_difficulty)
 
         mined, received = sim.on_block_mined, sim.on_block_received
 
@@ -719,7 +753,8 @@ class TestForkChoice:
         except ChainTooShort:  # a short draw can mine fewer than two blocks
             pass
         for node in sim.nodes:
-            assert node.head_block.block_id == fork_choice_head(node.tree)
+            assert node.known == sim.tree.blocks.keys()
+            assert node.head_block.block_id == fork_choice_head(sim.tree)
 
 
 class TestHeadersOnDrawnConfigs:
@@ -741,14 +776,21 @@ class TestHeadersOnDrawnConfigs:
                            warmup_blocks=0, seed=seed)
         sim = Simulation(config, 0)
         try:
-            sim.run()
-        except ChainTooShort:  # the trees are complete; only the stats failed
+            stats = sim.run().stats
+        except ChainTooShort:  # the tree is complete; only the stats failed
             pass
-        blocks = sorted(sim.nodes[0].tree.blocks.values(), key=lambda b: b.number)
+        else:
+            assert stats.generated_tx == stats.confirmed_tx_total + stats.pending_tx
+        assert len({node.head_block.block_id for node in sim.nodes}) == 1
+        assert all(node.known == sim.tree.blocks.keys() for node in sim.nodes)
+        blocks = sorted(sim.tree.blocks.values(), key=lambda b: b.number)
         fresh = BlockTree(sim.genesis)
+        gas = sim.table.gas
         for b in blocks[1:]:  # parents and uncles are lower, so inserted first
             assert validate_header(sim.params, fresh, b.header)
             fresh.insert_block(b)
+            assert b.header.gas_used == int(gas[list(b.tx_ids)].sum())
+            assert b.header.gas_used <= config.block_gas_limit
 
 
 class TestInjectedTransactions:
@@ -806,14 +848,13 @@ class TestInjectedTransactions:
         result = run_simulation(config, 0, injected=calls)
         inj = result.table.injected
         held = 0
-        for tree in result.trees:
-            for b in tree.blocks.values():
-                assert b.transactions == tuple(inj[i] for i in b.tx_ids if i in inj)
-                held += len(b.transactions)
+        for b in result.tree.blocks.values():
+            assert b.transactions == tuple(inj[i] for i in b.tx_ids if i in inj)
+            held += len(b.transactions)
         assert held >= len(inj) == 40
 
         plain = run_simulation(config, 0)
-        assert all(b.transactions == () for tree in plain.trees for b in tree.blocks.values())
+        assert all(b.transactions == () for b in plain.tree.blocks.values())
         assert any(b.tx_ids for b in plain.tree.blocks.values())
 
     def test_injected_renumbered_in_arrival_order(self):
