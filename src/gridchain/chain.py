@@ -107,6 +107,11 @@ class Block:
         return self.header.number
 
 
+# The text of the ids ``p000`` to ``p999`` in a tuple repr, for any
+# thousands prefix ``p``: "#" stands for ``p``'s digits, six bytes per id.
+_THOUSAND_IDS = b"".join(b"#%03d, " % i for i in range(1000))
+
+
 def header_digest(
     number: int,
     parent_id: str,
@@ -116,13 +121,34 @@ def header_digest(
     uncle_ids: Sequence[str],
     tx_ids: Sequence[int],
 ) -> str:
-    """Deterministic block id from header contents plus the tx id list."""
+    """Deterministic block id: the sha256 of
+    ``repr((number, parent_id, miner, difficulty, timestamp, tuple(uncle_ids),
+    tuple(tx_ids)))``.
+
+    A non-empty ``range`` of step 1 from 1000 up writes the same bytes
+    without formatting each id: every id there has its thousands prefix and
+    three more digits, so the ids sharing a prefix are one slice of
+    ``_THOUSAND_IDS`` with the prefix put in.
+    """
     h = hashlib.sha256()
-    h.update(
-        repr(
-            (number, parent_id, miner, difficulty, timestamp, tuple(uncle_ids), tuple(tx_ids))
-        ).encode()
-    )
+    uncle_ids = tuple(uncle_ids)
+    if not (isinstance(tx_ids, range) and tx_ids and tx_ids.step == 1
+            and tx_ids.start >= 1000):
+        h.update(repr(
+            (number, parent_id, miner, difficulty, timestamp, uncle_ids, tuple(tx_ids))
+        ).encode())
+        return h.hexdigest()
+    head = repr((number, parent_id, miner, difficulty, timestamp, uncle_ids))
+    h.update(head[:-1].encode() + b", (")
+    first, last = tx_ids.start, tx_ids.stop - 1
+    top = last // 1000
+    for prefix in range(first // 1000, top + 1):
+        base = prefix * 1000
+        # Up to the next prefix, or to the last id's digits without ", ".
+        stop = 6000 if prefix < top else (last - base) * 6 + 4
+        ids = _THOUSAND_IDS[max(first - base, 0) * 6:stop]
+        h.update(ids.replace(b"#", b"%d" % prefix))
+    h.update(b",))" if len(tx_ids) == 1 else b"))")
     return h.hexdigest()
 
 
@@ -133,18 +159,19 @@ def assemble_block(
     difficulty: int,
     timestamp: int,
     uncle_ids: Sequence[str],
-    tx_ids: tuple[int, ...],
+    tx_ids: Sequence[int],
     gas_used: int,
     transactions: tuple[Transaction, ...],
 ) -> Block:
     """The block constructor: the header, whose id digests its contents and
     ``tx_ids``, over ``transactions`` (those of ``tx_ids`` that exist as
-    objects)."""
+    objects). ``tx_ids`` is kept as a tuple; a ``range`` of consecutive ids
+    is digested without formatting each one."""
     uncle_ids = tuple(uncle_ids)
     block_id = header_digest(number, parent_id, miner, difficulty, timestamp, uncle_ids, tx_ids)
     header = BlockHeader(block_id, number, parent_id, miner, difficulty, timestamp, uncle_ids,
                          gas_used)
-    return Block(header=header, transactions=transactions, tx_ids=tx_ids)
+    return Block(header=header, transactions=transactions, tx_ids=tuple(tx_ids))
 
 
 def make_block(

@@ -168,8 +168,7 @@ def eligible_uncles(tree: BlockTree, new_parent: str, known: Container[str]) -> 
     nephew_number = tree.block(new_parent).number + 1
     lineage = tree.lineage[new_parent]
     blocks, by_number = tree.blocks, tree.by_number
-    ancestry = set(lineage)
-    included = {uid for aid in lineage for uid in blocks[aid].header.uncle_ids}
+    ancestry: set[str] | None = None
     out: list[str] = []
     lo = max(0, nephew_number - MAX_UNCLE_GENERATIONS + 1)
     for number in range(lo, nephew_number):
@@ -178,6 +177,9 @@ def eligible_uncles(tree: BlockTree, new_parent: str, known: Container[str]) -> 
         # block is no candidate.
         if len(ids) == 1:
             continue
+        if ancestry is None:  # built at the first height with a candidate
+            ancestry = set(lineage)
+            included = {uid for aid in lineage for uid in blocks[aid].header.uncle_ids}
         for bid in sorted(ids):
             if (bid in known and bid not in ancestry and bid not in included
                     and blocks[bid].header.parent_id in ancestry):

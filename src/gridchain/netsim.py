@@ -376,11 +376,11 @@ class NodeState:
         self.cut_own = max(self.cut_own, int(times.searchsorted(now, "right")))
 
     def set_in_chain(self, tx_ids: np.ndarray | Sequence[int], flag: bool) -> None:
-        """Flag ``tx_ids`` as on (true) or off (false) the node's canonical
-        chain."""
+        """Flag ``tx_ids``, which must be ascending, as on (true) or off
+        (false) the node's canonical chain."""
         self.in_chain[tx_ids] = flag
         if not flag and len(tx_ids):
-            self.low = min(self.low, int(np.min(tx_ids)))
+            self.low = min(self.low, int(tx_ids[0]))
 
     def fill(self, gas: np.ndarray, gas_limit: int) -> tuple[np.ndarray, int]:
         """Available ids in arrival order, as one ``intp`` array, up to the
@@ -535,7 +535,7 @@ class Simulation:
         dt = self._solve_time(difficulty / self.hashrates[node.index])
         self._push(now + dt, EventKind.BLOCK_MINED, node.index, epoch=node.epoch)
 
-    def _injected_in(self, tx_ids: tuple[int, ...]) -> tuple[Transaction, ...]:
+    def _injected_in(self, tx_ids: Sequence[int]) -> tuple[Transaction, ...]:
         """The injected transactions among ``tx_ids`` (ascending), in order:
         only the injected ids within the block's id range are looked up."""
         order = self.injected_ids
@@ -563,7 +563,14 @@ class Simulation:
         uncles = eligible_uncles(tree, parent.block_id, node.known)
         node.catch_up(now, self.config.propagation_delay)
         id_array, gas_used = node.fill(self.table.gas, self.config.block_gas_limit)
-        tx_ids = tuple(id_array.tolist())
+        # ``fill`` gives ascending unique ids, so they form one range exactly
+        # when their span equals their count; a range is digested without
+        # formatting each id.
+        n = len(id_array)
+        if n and int(id_array[-1]) - int(id_array[0]) + 1 == n:
+            tx_ids = range(int(id_array[0]), int(id_array[-1]) + 1)
+        else:
+            tx_ids = tuple(id_array.tolist())
         block = assemble_block(parent.number + 1, parent.block_id, node.index, difficulty,
                                timestamp, uncles, tx_ids, gas_used, self._injected_in(tx_ids))
         if not validate_header(self.params, tree, block.header):
@@ -613,7 +620,7 @@ class Simulation:
             if header.parent_id not in known:
                 node.orphans.setdefault(header.parent_id, []).append(b)
                 continue
-            if not all(uid in known for uid in header.uncle_ids):
+            if not known.issuperset(header.uncle_ids):
                 # Simulator nodes are honest; a failure here is a bug.
                 raise AssertionError(f"invalid header broadcast: {bid}")
             known.add(bid)

@@ -5,11 +5,13 @@ selection behind the lineage-based one in ``gridchain.consensus``, and the
 per-receiver block delivery behind the simulator's one event per arrival
 time and one header check per block, one ``rng.exponential`` call per solve
 time behind the simulator's buffered stream, and the library's own AES-CTR
-mode, one cipher per field, behind the meter's one AES call per record.
+mode, one cipher per field, behind the meter's one AES call per record,
+and the tuple ``repr`` block id behind the digest of an id range.
 Also the readers and writers that only tests need: a node's delivered set
 and pool, and a meter stream file."""
 
-from typing import Iterable, Iterator
+import hashlib
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -110,6 +112,22 @@ def eligible_uncles(tree: BlockTree, new_parent: str) -> list[str]:
             if len(out) == MAX_UNCLES_PER_BLOCK:
                 break
     return out
+
+
+def header_digest(
+    number: int,
+    parent_id: str,
+    miner: int,
+    difficulty: int,
+    timestamp: int,
+    uncle_ids: Sequence[str],
+    tx_ids: Sequence[int],
+) -> str:
+    """Block id as the sha256 of the header tuple's ``repr``, every id
+    formatted on its own."""
+    return hashlib.sha256(repr(
+        (number, parent_id, miner, difficulty, timestamp, tuple(uncle_ids), tuple(tx_ids))
+    ).encode()).hexdigest()
 
 
 def delivered(node: NodeState) -> np.ndarray:

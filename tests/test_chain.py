@@ -2,8 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridchain.chain import Address, BlockTree, Transaction, UnknownParent, UnknownBlock, make_block, make_genesis
+from gridchain.chain import (
+    Address,
+    BlockTree,
+    Transaction,
+    UnknownBlock,
+    UnknownParent,
+    assemble_block,
+    header_digest,
+    make_block,
+    make_genesis,
+)
 
+import oracles
 from conftest import extend, tx
 
 
@@ -133,3 +144,48 @@ def test_total_difficulty_matches_chain_replay(difficulties):
     timestamps = [b.header.timestamp for b in chain]
     assert numbers == list(range(len(chain)))
     assert all(t2 > t1 for t1, t2 in zip(timestamps, timestamps[1:]))
+
+
+# Where the width of an id changes, and far beyond.
+_RANGE_STARTS = st.one_of(
+    st.sampled_from([0, 999, 1000, 9999, 10_000, 99_999, 100_000, 999_999, 1_000_000])
+    .flatmap(lambda edge: st.integers(max(edge - 3, 0), edge + 3)),
+    st.integers(0, 10**9),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=_RANGE_STARTS,
+    length=st.one_of(st.sampled_from([0, 1, 2, 999, 1000, 1001]), st.integers(0, 2_500)),
+    uncle_ids=st.lists(st.text("0123456789abcdef", min_size=1, max_size=64), max_size=2),
+    number=st.integers(0, 10**7),
+    miner=st.integers(-1, 5),
+    difficulty=st.integers(1, 10**15),
+    timestamp=st.integers(0, 10**7),
+)
+def test_range_digest_equals_the_tuple_repr_digest(start, length, uncle_ids, number, miner,
+                                                   difficulty, timestamp):
+    fields = (number, "ab" * 32, miner, difficulty, timestamp, tuple(uncle_ids))
+    ids = range(start, start + length)
+    expected = oracles.header_digest(*fields, tuple(ids))
+    assert header_digest(*fields, ids) == expected
+    assert header_digest(*fields, tuple(ids)) == expected
+
+
+def test_non_range_ids_with_range_endpoints_digest_as_given():
+    fields = (1, "p", 0, 131072, 5, ())
+    assert header_digest(*fields, (1000, 1002, 1001, 1003)) == oracles.header_digest(
+        *fields, (1000, 1002, 1001, 1003))
+    assert header_digest(*fields, range(1000, 1010, 2)) == oracles.header_digest(
+        *fields, tuple(range(1000, 1010, 2)))
+
+
+def test_assemble_block_from_a_range_equals_one_from_the_tuple():
+    ids = range(4_990, 5_310)
+    args = (7, "p" * 64, 2, 131072, 40, ("u" * 64,))
+    from_range = assemble_block(*args, ids, 12_345, ())
+    from_tuple = assemble_block(*args, tuple(ids), 12_345, ())
+    assert from_range == from_tuple
+    assert type(from_range.tx_ids) is tuple
+    assert from_range.block_id == oracles.header_digest(*args, tuple(ids))

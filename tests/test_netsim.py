@@ -32,6 +32,7 @@ from oracles import (
     PerReceiverSimulation,
     fill_block,
     generate_tx_arrivals,
+    header_digest,
     node_address,
     pending_ids,
     sample_mining_time,
@@ -786,6 +787,10 @@ class TestHeadersOnDrawnConfigs:
         blocks = sorted(sim.tree.blocks.values(), key=lambda b: b.number)
         fresh = BlockTree(sim.genesis)
         gas = sim.table.gas
+        for b in blocks:
+            h = b.header
+            assert b.block_id == header_digest(h.number, h.parent_id, h.miner, h.difficulty,
+                                               h.timestamp, h.uncle_ids, b.tx_ids)
         for b in blocks[1:]:  # parents and uncles are lower, so inserted first
             assert validate_header(sim.params, fresh, b.header)
             fresh.insert_block(b)
