@@ -324,11 +324,13 @@ def run_e2e_demo(spec: ExperimentSpec) -> DemoReport:
                 start_time=epoch0,
             )
         home_node = (m_index + 1) % config.num_nodes
+        # MeterAccount.address hashes the key on every read.
+        sender = acct.address
         for r_index, rec in enumerate(records):
             enc = encrypt_record(rec, acct.key, rng)
             if enc.nonce in sent:
                 raise AssertionError("duplicate record nonce within one run")
-            tx = build_record_tx(enc, acct.address, gas=config.mean_tx_gas)
+            tx = build_record_tx(enc, sender, gas=config.mean_tx_gas)
             send_time = lead_in + r_index * spec.meter_interval_s + 0.1 * m_index
             injected.append((send_time, home_node, tx))
             sent[enc.nonce] = rec

@@ -7,9 +7,13 @@ ciphertexts are wrapped into a record-append transaction for the chain.
 Counter layout: every record draws a fresh 16-byte base counter whose last
 four bytes are zero; byte 12 carries the field index (0=id, 1=time, 2=value)
 and bytes 13..15 count keystream blocks big-endian, so the three fields of a
-record never share keystream and each field can span 2**24 blocks. A key
-is expanded once, when its SymmetricKey is made; a record's keystream comes
-from one AES call over the counter blocks of all three fields.
+record never share keystream. A field can therefore span at most 2**24
+blocks (256 MiB); past that its block count would run into the field index
+and repeat the next field's keystream, so the record cipher raises
+ValueError for a longer field before it touches the data. A key is expanded
+once, when its SymmetricKey is made; a record's keystream comes from one AES
+call over the counter blocks of all three fields, and one XOR applies it to
+the three fields, each zero-padded to whole blocks.
 
 The deployment being modelled reuses an account's private key as its AES
 key. That conflation is kept here (one 32-byte secret doubles as the address
@@ -31,6 +35,9 @@ from .contract import CallKind, ContractCall
 KEY_LEN = 32
 COUNTER_LEN = 16
 NONCE_RANDOM_LEN = 12
+# Keystream blocks one record field can take: its counter counts them in
+# three bytes.
+MAX_FIELD_BLOCKS = 1 << 24
 
 DEFAULT_RECORD_TX_GAS = 45_000
 # Largest energy step between two simulated readings, in kWh.
@@ -207,19 +214,38 @@ def fresh_nonce(rng: random.Random) -> bytes:
 def _crypt_record_fields(
     fields: tuple[bytes, bytes, bytes], key: SymmetricKey, nonce: bytes
 ) -> tuple[bytes, bytes, bytes]:
-    """Counter-mode transform of the three fields of one record, with the
-    counter blocks of all three joined into one AES call."""
-    counters = [
-        _counter_blocks(field_counter(nonce, index), len(data))
-        for index, data in enumerate(fields)
-    ]
+    """Counter-mode transform of the three fields of one record: one AES call
+    over the counter blocks of all three, then one XOR of the fields, each
+    zero-padded to whole blocks, with that keystream.
+
+    Block j of field i has the counter ``nonce[:12] + bytes([i]) + j`` with
+    j in three big-endian bytes, so a field longer than
+    ``MAX_FIELD_BLOCKS`` blocks raises ValueError before any work is done.
+    """
+    lengths = list(map(len, fields))
+    if max(lengths) > MAX_FIELD_BLOCKS * COUNTER_LEN:
+        raise ValueError(
+            f"a record field holds at most {MAX_FIELD_BLOCKS * COUNTER_LEN} bytes"
+        )
+    prefix = nonce[:NONCE_RANDOM_LEN]
+    counters = []
+    padded = []
+    for index, data in enumerate(fields):
+        blocks = -(-len(data) // COUNTER_LEN)
+        for j in range(blocks):
+            counters.append(prefix + bytes((index, j >> 16, (j >> 8) & 0xFF, j & 0xFF)))
+        padded.append(data.ljust(blocks * COUNTER_LEN, b"\x00"))
     keystream = key.encrypt_blocks(b"".join(counters))
-    out = []
-    pos = 0
-    for data, blocks in zip(fields, counters):
-        out.append(_xor(data, keystream[pos:]))
-        pos += len(blocks)
-    return out[0], out[1], out[2]
+    out = (
+        int.from_bytes(b"".join(padded), "big") ^ int.from_bytes(keystream, "big")
+    ).to_bytes(len(keystream), "big")
+    id_end = len(padded[0])
+    time_end = id_end + len(padded[1])
+    return (
+        out[:lengths[0]],
+        out[id_end:id_end + lengths[1]],
+        out[time_end:time_end + lengths[2]],
+    )
 
 
 def encrypt_record(rec: MeterRecord, key: SymmetricKey, rng: random.Random) -> EncryptedRecord:

@@ -29,7 +29,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, TextIO
 
@@ -259,7 +259,9 @@ def build_tx_table(
     """Draw the Poisson arrival stream and merge any injected transactions.
 
     Injected entries are (time, origin_node, transaction); transactions are
-    re-numbered by final arrival order so tx ids equal arrival indices.
+    re-numbered by final arrival order so tx ids equal arrival indices. An
+    injected transaction arrives after every generated one at its time, and
+    injected ones at one time keep their order in ``injected``.
     """
     stat_times = _sample_arrival_times(config.tx_rate, config.sim_duration, rng)
     n_stat = len(stat_times)
@@ -280,20 +282,16 @@ def build_tx_table(
 
     if injected:
         inj = sorted(injected, key=lambda item: item[0])
+        # One pass: injected transaction j comes after the at[j] generated
+        # arrivals at or before its time and the j injected ones before it.
         inj_times = np.array([item[0] for item in inj], dtype=np.float64)
-        inj_origins = np.array([item[1] for item in inj], dtype=np.int64)
-        inj_gas = np.array([item[2].gas for item in inj], dtype=np.int64)
-        times = np.concatenate([stat_times, inj_times])
-        origins = np.concatenate([stat_origins, inj_origins])
-        gas = np.concatenate([stat_gas, inj_gas])
-        order = np.argsort(times, kind="stable")
-        times, origins, gas = times[order], origins[order], gas[order]
-        # Inverse permutation: old index -> arrival index.
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
+        at = stat_times.searchsorted(inj_times, "right")
+        times = np.insert(stat_times, at, inj_times)
+        origins = np.insert(stat_origins, at, [item[1] for item in inj])
+        gas = np.insert(stat_gas, at, [item[2].gas for item in inj])
         injected_map = {
-            new: replace(item[2], tx_id=new)
-            for new, item in zip(position[n_stat:].tolist(), inj)
+            new: Transaction(new, tx.sender, tx.gas, tx.size_kb, tx.payload)
+            for new, (_, _, tx) in zip((at + np.arange(len(inj))).tolist(), inj)
         }
     else:
         times, origins, gas = stat_times, stat_origins, stat_gas

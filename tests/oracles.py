@@ -6,10 +6,13 @@ per-receiver block delivery behind the simulator's one event per arrival
 time and one header check per block, one ``rng.exponential`` call per solve
 time behind the simulator's buffered stream, and the library's own AES-CTR
 mode, one cipher per field, behind the meter's one AES call per record,
-and the tuple ``repr`` block id behind the digest of an id range.
+the tuple ``repr`` block id behind the digest of an id range, and one
+stable ``argsort`` over generated and injected arrivals behind the linear
+merge of injected transactions.
 Also the readers and writers that only tests need: a node's delivered set
 and pool, and a meter stream file."""
 
+import dataclasses
 import hashlib
 from typing import Iterable, Iterator, Sequence
 
@@ -19,7 +22,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from gridchain.chain import TX_SIZE_KB, Address, Block, BlockHeader, BlockTree, Transaction
 from gridchain.consensus import MAX_UNCLE_GENERATIONS, MAX_UNCLES_PER_BLOCK, validate_header
 from gridchain.meter import MeterRecord, SymmetricKey, field_counter
-from gridchain.netsim import EventKind, NodeState, SimConfig, Simulation, build_tx_table
+from gridchain.netsim import EventKind, NodeState, SimConfig, Simulation, TxTable, build_tx_table
 
 
 def generate_tx_arrivals(
@@ -34,6 +37,37 @@ def generate_tx_arrivals(
         tx = Transaction(tx_id=i, sender=node_address(int(table.origins[i])),
                          gas=int(table.gas[i]), size_kb=TX_SIZE_KB)
         yield float(table.times[i]), tx
+
+
+def build_tx_table_argsort(
+    config: SimConfig,
+    rng: np.random.Generator,
+    injected: Sequence[tuple[float, int, Transaction]],
+) -> TxTable:
+    """The generated stream of ``build_tx_table``, with the injected
+    transactions merged in by one stable ``argsort`` over all arrival times
+    and renumbered through the inverse permutation."""
+    table = build_tx_table(config, rng)
+    if not injected:
+        return table
+    n_stat = table.count
+    inj = sorted(injected, key=lambda item: item[0])
+    inj_times = np.array([item[0] for item in inj], dtype=np.float64)
+    inj_origins = np.array([item[1] for item in inj], dtype=np.int64)
+    inj_gas = np.array([item[2].gas for item in inj], dtype=np.int64)
+    times = np.concatenate([table.times, inj_times])
+    origins = np.concatenate([table.origins, inj_origins])
+    gas = np.concatenate([table.gas, inj_gas])
+    order = np.argsort(times, kind="stable")
+    times, origins, gas = times[order], origins[order], gas[order]
+    # Inverse permutation: old index -> arrival index.
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    injected_map = {
+        new: dataclasses.replace(item[2], tx_id=new)
+        for new, item in zip(position[n_stat:].tolist(), inj)
+    }
+    return TxTable(times=times, origins=origins, gas=gas, injected=injected_map)
 
 
 def sample_mining_time(rng: np.random.Generator, difficulty: int, node_hashrate: float) -> float:

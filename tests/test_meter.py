@@ -160,6 +160,15 @@ class TestAgainstLibraryCtr:
         enc = EncryptedRecord(id_ct=id_ct, time_ct=time_ct, value_ct=value_ct, nonce=nonce)
         assert decrypt_record(enc, key) == rec
 
+    def test_record_field_past_two_block_carries_matches_fieldwise_oracle(self):
+        # 2**16 + 3 blocks: the block index carries into both of its high bytes.
+        rng = random.Random(21)
+        key = SymmetricKey(rng.randbytes(32))
+        fields = (rng.randbytes(16 * (2**16 + 2) + 5), b"1750000000", b"0.125")
+        nonce = rng.randbytes(16)
+        got = meter._crypt_record_fields(fields, key, nonce)
+        assert got == crypt_record_fieldwise(fields, key, nonce)
+
     def test_key_expanded_once(self, monkeypatch):
         built = []
         real_cipher = meter.Cipher
@@ -280,6 +289,24 @@ class TestRecordEncryption:
         nonce = b"\xaa" * 12 + b"\x00" * 4
         counters = {field_counter(nonce, i) for i in range(3)}
         assert len(counters) == 3
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_field_past_the_counter_range_rejected(self, monkeypatch, index):
+        class Oversized(bytes):
+            """One byte that reports one byte more than 2**24 blocks hold."""
+
+            def __len__(self):
+                return 2**28 + 1
+
+        calls = []
+        monkeypatch.setattr(SymmetricKey, "encrypt_blocks",
+                            lambda self, blocks: calls.append(blocks))
+        fields = [b"SM-02", b"1622966455", b"8.250"]
+        fields[index] = Oversized(b"x")
+        enc = EncryptedRecord(*fields, nonce=bytes(16))
+        with pytest.raises(ValueError, match="at most 268435456 bytes"):
+            decrypt_record(enc, self.key())
+        assert calls == []
 
     def test_wrong_key_raises_malformed(self):
         rng = random.Random(5)

@@ -30,6 +30,7 @@ from gridchain.netsim import (
 from conftest import addr, line_link_delays, tx
 from oracles import (
     PerReceiverSimulation,
+    build_tx_table_argsort,
     fill_block,
     generate_tx_arrivals,
     header_digest,
@@ -873,6 +874,56 @@ class TestInjectedTransactions:
         i = found[0]
         assert table.injected[i].tx_id == i
         assert float(table.times[i]) == 10.0
+
+    def test_injected_goes_after_generated_at_the_same_time(self):
+        config = small_config(tx_rate=2.0, sim_duration=60.0)
+        generated = build_tx_table(config, np.random.default_rng(3)).times
+        at = float(generated[5])
+        inj = [(at, 1, tx(0, sender="first")), (at, 2, tx(0, sender="second"))]
+        table = build_tx_table(config, np.random.default_rng(3), inj)
+        assert table.times[5:8].tolist() == [at, at, at]
+        assert table.injected[6] == dataclasses.replace(inj[0][2], tx_id=6)
+        assert table.injected[7] == dataclasses.replace(inj[1][2], tx_id=7)
+        assert table.origins[6:8].tolist() == [1, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.sampled_from([0.0, 0.3, 4.0]),
+        data=st.data(),
+    )
+    def test_merge_matches_argsort_oracle(self, seed, rate, data):
+        config = small_config(tx_rate=rate, sim_duration=20.0)
+        generated = build_tx_table(config, np.random.default_rng(seed)).times.tolist()
+        # Ties with generated times and with each other, times before the
+        # first arrival and after the last, and times in between.
+        special = [0.0, 7.25, config.sim_duration + 1.0]
+        if generated:
+            special += [generated[0] / 2, generated[-1]]
+        times = st.one_of(
+            st.sampled_from(special),
+            st.sampled_from(generated or special),
+            st.floats(0.0, 2 * config.sim_duration),
+        )
+        drawn = data.draw(st.lists(
+            st.tuples(times, st.integers(0, config.num_nodes - 1), st.integers(1, 10**6)),
+            max_size=25,
+        ))
+        injected = [
+            (t, origin, tx(1000 + k, gas=gas, sender=f"m{k % 3}", payload=("record", k)))
+            for k, (t, origin, gas) in enumerate(drawn)
+        ]
+        got = build_tx_table(config, np.random.default_rng(seed), injected)
+        want = build_tx_table_argsort(config, np.random.default_rng(seed), injected)
+        for name in ("times", "origins", "gas"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert got.count == want.count == len(generated) + len(injected)
+        assert got.injected == want.injected
+        source = {item[2].payload: item[2] for item in injected}
+        for new, renumbered in got.injected.items():
+            assert renumbered == dataclasses.replace(source[renumbered.payload], tx_id=new)
 
 
 class TestRunMany:
