@@ -2,8 +2,8 @@
 
 Everything here is pure bookkeeping: no consensus rules, no networking.
 Header validation lives in :mod:`gridchain.consensus`; callers are expected
-to validate before inserting (out-of-order arrivals are buffered by the
-network simulator, not here).
+to validate before inserting. The network simulator inserts each block
+once, when it is mined, so its parent is always in the tree.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class ChainError(Exception):
 
 
 class UnknownParent(ChainError):
-    """Block's parent is not in the tree; caller must buffer and retry."""
+    """Block's parent is not in the tree."""
 
 
 class UnknownBlock(ChainError):

@@ -10,7 +10,7 @@ and bytes 13..15 count keystream blocks big-endian, so the three fields of a
 record never share keystream. A field can therefore span at most 2**24
 blocks (256 MiB); past that its block count would run into the field index
 and repeat the next field's keystream, so the record cipher raises
-ValueError for a longer field before it touches the data. A key is expanded
+FieldTooLong for a longer field before it touches the data. A key is expanded
 once, when its SymmetricKey is made; a record's keystream comes from one AES
 call over the counter blocks of all three fields, and one XOR applies it to
 the three fields, each zero-padded to whole blocks.
@@ -54,6 +54,10 @@ class BadKeyLength(MeterError):
 
 class MalformedPlaintext(MeterError):
     """Decryption produced bytes that do not decode; wrong key or corruption."""
+
+
+class FieldTooLong(MeterError, ValueError):
+    """A record field is longer than its counter range can encrypt."""
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -220,11 +224,11 @@ def _crypt_record_fields(
 
     Block j of field i has the counter ``nonce[:12] + bytes([i]) + j`` with
     j in three big-endian bytes, so a field longer than
-    ``MAX_FIELD_BLOCKS`` blocks raises ValueError before any work is done.
+    ``MAX_FIELD_BLOCKS`` blocks raises FieldTooLong before any work is done.
     """
     lengths = list(map(len, fields))
     if max(lengths) > MAX_FIELD_BLOCKS * COUNTER_LEN:
-        raise ValueError(
+        raise FieldTooLong(
             f"a record field holds at most {MAX_FIELD_BLOCKS * COUNTER_LEN} bytes"
         )
     prefix = nonce[:NONCE_RANDOM_LEN]

@@ -8,7 +8,7 @@ pending pool up to the gas limit, carry up to two uncles, and are delivered
 to every peer after the propagation delay. Block ids digest their
 contents, so a run keeps one block tree: each header is checked once, when
 its block is mined, and a node differs from another only in the ids it
-holds, its head, its orphan buffer and its pool.
+holds, its head, its orphan buffer (used only by direct calls) and its pool.
 
 Determinism: a run is a pure function of (config, run_index). Events are
 processed in (time, sequence) order from a single heap, every random draw
@@ -320,7 +320,8 @@ class NodeState:
     ``tree`` is the run's one shared block store; ``known`` holds the ids of
     the blocks this node has mined or received. ``head_block`` is the
     first-received (or mined) block of maximal total difficulty among them:
-    a block replaces it only when strictly heavier.
+    a block replaces it only when strictly heavier. ``orphans`` holds, by
+    parent id, blocks that a direct call delivered before their parent.
 
     The pool works on transaction ids, which are arrival indices into the
     shared ``TxTable``, and keeps no per-transaction objects:
@@ -600,34 +601,32 @@ class Simulation:
             self._push(time, EventKind.BLOCK_RECEIVED, tuple(receivers), block)
 
     def on_block_received(self, node_index: int, block: Block, now: float) -> None:
-        """Take a delivered block (buffering on unknown parents), then
-        reorganise if it is strictly heavier than the head.
+        """Take a delivered block, then reorganise if it is strictly heavier
+        than the head.
 
         The header passed ``validate_header`` when it was mined, and block
         ids digest their contents, so the node checks only that it holds the
-        parent and the uncles."""
+        parent and the uncles. A run delivers both first (delays meet the
+        triangle inequality, equal-time events pop in push order); a block
+        that a direct call delivers early waits in ``orphans``."""
         node = self.nodes[node_index]
         known, td = node.known, self.tree.total_difficulty
-        queue = [block]
-        while queue:
-            b = queue.pop(0)
-            header = b.header
-            bid = header.block_id
-            if bid in known:
-                continue
-            if header.parent_id not in known:
-                node.orphans.setdefault(header.parent_id, []).append(b)
-                continue
-            if not known.issuperset(header.uncle_ids):
-                # Simulator nodes are honest; a failure here is a bug.
-                raise AssertionError(f"invalid header broadcast: {bid}")
-            known.add(bid)
-            if self.trace is not None:
-                self._trace(now, "received", node.index, b)
-            # Only a strictly heavier block moves the head: the first received wins a tie.
-            if td[bid] > td[node.head_block.header.block_id]:
-                self._reorg(node, b, now)
-            queue.extend(node.orphans.pop(bid, ()))
+        header = block.header
+        bid = header.block_id
+        if header.parent_id not in known:
+            node.orphans.setdefault(header.parent_id, []).append(block)
+            return
+        if not known.issuperset(header.uncle_ids):
+            # Simulator nodes are honest; a failure here is a bug.
+            raise AssertionError(f"invalid header broadcast: {bid}")
+        known.add(bid)
+        if self.trace is not None:
+            self._trace(now, "received", node.index, block)
+        # Only a strictly heavier block moves the head: the first received wins a tie.
+        if td[bid] > td[node.head_block.header.block_id]:
+            self._reorg(node, block, now)
+        for child in node.orphans.pop(bid, ()):
+            self.on_block_received(node_index, child, now)
 
     def _reorg(self, node: NodeState, new_head: Block, now: float) -> None:
         """Move the node's canonical state from the old head to ``new_head``:

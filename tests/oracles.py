@@ -188,7 +188,9 @@ def save_meter_stream(records: list[MeterRecord], path) -> None:
 class PerReceiverSimulation(Simulation):
     """The simulator with one delivery event per (block, receiver), pushed
     in receiver order, and a full header check at every receiver: against
-    the run's tree, plus that the node holds every uncle."""
+    the run's tree, plus that the node holds the parent and every uncle. It
+    buffers nothing, so a run that delivered a block before its parent
+    would raise here."""
 
     def _broadcast(self, block: Block, sender: int, now: float) -> None:
         for dst in range(self.config.num_nodes):
@@ -199,24 +201,17 @@ class PerReceiverSimulation(Simulation):
     def on_block_received(self, node_index: int, block: Block, now: float) -> None:
         node = self.nodes[node_index]
         known = node.known
-        queue = [block]
-        while queue:
-            b = queue.pop(0)
-            if b.block_id in known:
-                continue
-            if b.header.parent_id not in known:
-                node.orphans.setdefault(b.header.parent_id, []).append(b)
-                continue
-            if not (validate_header(self.params, self.tree, b.header)
-                    and all(uid in known for uid in b.header.uncle_ids)):
-                raise AssertionError(f"invalid header broadcast: {b.block_id}")
-            known.add(b.block_id)
-            if self.trace is not None:
-                self._trace(now, "received", node.index, b)
-            td = self.tree.total_difficulty
-            if td[b.block_id] > td[node.head_block.block_id]:
-                self._reorg(node, b, now)
-            queue.extend(node.orphans.pop(b.block_id, ()))
+        header = block.header
+        if not (header.parent_id in known
+                and validate_header(self.params, self.tree, header)
+                and all(uid in known for uid in header.uncle_ids)):
+            raise AssertionError(f"invalid header broadcast: {block.block_id}")
+        known.add(block.block_id)
+        if self.trace is not None:
+            self._trace(now, "received", node.index, block)
+        td = self.tree.total_difficulty
+        if td[block.block_id] > td[node.head_block.block_id]:
+            self._reorg(node, block, now)
 
 
 def ctr_keystream_xor(data: bytes, key: SymmetricKey, counter0: bytes) -> bytes:

@@ -390,6 +390,24 @@ class TestE2EDemo:
         assert report.decryption_failures == report.records_confirmed
         assert report.records_recovered == 0
 
+    def test_oversized_record_field_counts_as_decryption_failure(self, monkeypatch):
+        class Oversized(bytes):
+            """A stored field that reports more bytes than its counter range covers."""
+
+            def __len__(self):
+                return 2**28 + 1
+
+        unpack = cli.unpack_record_fields
+
+        def oversized(id_field, time_field, value_field):
+            return unpack(id_field, Oversized(time_field), value_field)
+
+        monkeypatch.setattr(cli, "unpack_record_fields", oversized)
+        report = run_e2e_demo(self.demo_spec())
+        assert report.records_confirmed > 0
+        assert report.decryption_failures == report.records_confirmed
+        assert report.records_recovered == 0
+
     def test_decrypt_bug_propagates(self, monkeypatch):
         def buggy(enc, key):
             raise TypeError("bug in the keystream code")

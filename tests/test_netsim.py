@@ -637,6 +637,18 @@ class TestDelivery:
         assert result.stats.included_uncles > 0
         assert sorted(call.args[2].block_id for call in validate.call_args_list) == sorted(mined)
 
+    def test_links_tight_on_the_triangle_inequality(self):
+        # d(i, k) = d(i, j) + d(j, k) exactly along the line (integer
+        # positions, no base delay). The oracle buffers nothing, so it raises
+        # if a block reaches a node before its parent or an uncle.
+        config = small_config(lambda_=1, num_nodes=5, propagation_delay=0.0, tx_rate=5.0,
+                              sim_duration=600.0, seed=3,
+                              link_delays=line_link_delays((0, 1, 2, 3, 4), 0.0))
+        assert _traced_run(Simulation, config) == _traced_run(PerReceiverSimulation, config)
+        result = run_simulation(config, 0)
+        assert len(set(result.heads)) == 1
+        assert result.stats.included_uncles > 0
+
     def test_validated_block_missing_an_uncle_still_raises(self):
         sim = Simulation(small_config(tx_rate=0.0), 0)
         a1 = sim.on_block_mined(0, 1.0)
