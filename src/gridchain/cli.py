@@ -199,15 +199,29 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _aggregate(stats: list[RunStats], lam: int) -> SweepPoint:
-    """One CSV row from the runs at threshold ``lam``, reported as progress."""
-    point = aggregate_runs(stats, lambda_=int(lam))
+def _note_clamped_warmup(stats: list[RunStats], warmup: int, label: str) -> None:
+    """A note on standard error when a run was too short for the configured
+    warm-up, so the simulator discarded fewer blocks and measured a smaller
+    window than a full run would."""
+    applied = min(s.warmup_blocks_discarded for s in stats)
+    if applied < warmup:
+        _progress(
+            f"gridchain: note: {label}: warm-up of {warmup} blocks clamped to {applied}; "
+            f"smallest measured window {min(s.canonical_blocks for s in stats)} blocks"
+        )
+
+
+def _aggregate(stats: list[RunStats], config: SimConfig) -> SweepPoint:
+    """One CSV row from the runs of ``config``, reported as progress."""
+    lam = config.lambda_
+    point = aggregate_runs(stats, lambda_=lam)
     _progress(
         f"lambda={lam}: interval {point.mean('mean_block_interval'):.3f} s, "
         f"throughput {point.mean('throughput'):.2f} tx/s, "
         f"uncle rate {point.mean('uncle_rate') * 100:.2f}% "
         f"({point.runs} runs)"
     )
+    _note_clamped_warmup(stats, config.warmup_blocks, f"lambda={lam}")
     return point
 
 
@@ -220,11 +234,9 @@ def _write_csv(out: Path, points: list[SweepPoint]) -> Path:
 
 def run_sweep(spec: ExperimentSpec) -> Path:
     """One CSV row per threshold in ``spec.sweep_lambdas``."""
-    points = [
-        _aggregate(run_many(dataclasses.replace(spec.config, lambda_=int(lam)),
-                            workers=spec.workers), lam)
-        for lam in spec.sweep_lambdas
-    ]
+    configs = [dataclasses.replace(spec.config, lambda_=int(lam))
+               for lam in spec.sweep_lambdas]
+    points = [_aggregate(run_many(config, workers=spec.workers), config) for config in configs]
     return _write_csv(_resolve_output(spec, "sweep.csv"), points)
 
 
@@ -245,7 +257,7 @@ def run_single(spec: ExperimentSpec) -> Path:
         _progress(f"wrote {config.num_runs} trace files to {out.parent}")
     else:
         stats = run_many(config, workers=spec.workers)
-    point = _aggregate(stats, config.lambda_)
+    point = _aggregate(stats, config)
     if mainnet:
         print(
             "public-network reference: "
@@ -383,6 +395,7 @@ def main(argv: list[str] | None = None) -> int:
             report = run_e2e_demo(spec)
             for line in report.lines():
                 print(line)
+            _note_clamped_warmup([report.stats], spec.config.warmup_blocks, "e2e-demo")
             if spec.output_path is not None:
                 Path(spec.output_path).write_text(
                     "\n".join(report.lines()) + "\n", encoding="utf-8"

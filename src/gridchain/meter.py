@@ -11,7 +11,8 @@ record never share keystream. A field can therefore span at most 2**24
 blocks (256 MiB); past that its block count would run into the field index
 and repeat the next field's keystream, so the record cipher raises
 FieldTooLong for a longer field before it touches the data. A key is expanded
-once, when its SymmetricKey is made; a record's keystream comes from one AES
+once, when its SymmetricKey is made; the AES library is imported then too, so
+importing this module does not load it. A record's keystream comes from one AES
 call over the counter blocks of all three fields, and one XOR applies it to
 the three fields, each zero-padded to whole blocks.
 
@@ -23,11 +24,10 @@ seed) for fidelity; it is not a recommendation.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .chain import TX_SIZE_KB, Address, Transaction
 from .contract import CallKind, ContractCall
@@ -42,6 +42,17 @@ MAX_FIELD_BLOCKS = 1 << 24
 DEFAULT_RECORD_TX_GAS = 45_000
 # Largest energy step between two simulated readings, in kWh.
 MAX_STEP_KWH = 0.5
+
+
+def __getattr__(name: str):
+    """The block-cipher names of the AES library, imported on first use.
+    ``SymmetricKey`` reads them as attributes of this module, so a test can
+    replace one."""
+    if name in ("Cipher", "algorithms", "modes"):
+        from cryptography.hazmat.primitives import ciphers
+
+        return getattr(ciphers, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class MeterError(Exception):
@@ -77,9 +88,9 @@ class SymmetricKey:
         # own: CTR encrypts each counter block and XORs the result into the
         # data (NIST SP 800-38A section 6.5). Only distinct counter blocks are
         # ever passed in, so no two outputs repeat a block.
-        object.__setattr__(
-            self, "_aes", Cipher(algorithms.AES(self.bytes), modes.ECB()).encryptor()
-        )
+        lib = sys.modules[__name__]
+        cipher = lib.Cipher(lib.algorithms.AES(self.bytes), lib.modes.ECB())
+        object.__setattr__(self, "_aes", cipher.encryptor())
 
     def __repr__(self) -> str:
         return f"SymmetricKey(<{KEY_LEN} secret bytes>)"

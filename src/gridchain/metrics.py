@@ -37,7 +37,14 @@ class EmptyInput(MetricsError):
 
 @dataclass(frozen=True, slots=True)
 class RunStats:
-    """Measured output of one simulation run."""
+    """Measured output of one simulation run.
+
+    ``throughput`` counts the transactions of all n measured blocks but
+    divides by the timestamp span of their n - 1 intervals, so it reads high
+    by a factor of 1 + 1/(n - 1). The worst case is the 2-block window a
+    short run leaves: 5 s at threshold 12 reports 433 transactions over a
+    3 s span, 144.33 tx/s against 100 tx/s arrivals.
+    """
 
     throughput: float
     uncle_rate: float

@@ -28,7 +28,6 @@ import heapq
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, TextIO
@@ -745,6 +744,9 @@ def run_many(config: SimConfig, workers: int = 1) -> list[RunStats]:
     jobs = [(config, i) for i in range(config.num_runs)]
     if workers <= 1:
         return [_stats_worker(job) for job in jobs]
+    # Imported here so that a serial run never loads the process pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(jobs) // (workers * 4))
         return list(pool.map(_stats_worker, jobs, chunksize=chunk))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -441,3 +442,59 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "single.csv").exists()
+
+    def test_import_loads_neither_aes_nor_process_pool(self, tmp_path):
+        package_dir = os.path.dirname(os.path.abspath(gridchain.__file__))
+        python_path = os.pathsep.join(
+            filter(None, [os.path.dirname(package_dir), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=python_path)
+        child = "\n".join([
+            "import random, sys",
+            "from decimal import Decimal",
+            "import gridchain, gridchain.cli",
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'cryptography'",
+            "          or m == 'concurrent.futures.process']",
+            "assert not loaded, loaded",
+            "from gridchain.meter import MeterRecord, SymmetricKey, decrypt_record, encrypt_record",
+            "key = SymmetricKey(bytes(32))",
+            "assert 'cryptography' in sys.modules",
+            "rec = MeterRecord('SM-01', 1750000000, Decimal('1.250'))",
+            "assert decrypt_record(encrypt_record(rec, key, random.Random(1)), key) == rec",
+        ])
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, cwd=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestWarmupNote:
+    """A run too short for the configured warm-up gets a note on standard
+    error; the output stays as it is."""
+
+    @pytest.mark.parametrize("flags, labels", [
+        (["--duration", "90", "--lambda", "2", "--runs", "1"], ["lambda=2"]),
+        (["--mode", "sweep", "--sweep", "1,2", "--duration", "90", "--runs", "1"],
+         ["lambda=1", "lambda=2"]),
+        (["--mode", "mainnet-compare", "--duration", "200", "--runs", "1"], ["lambda=9"]),
+        (["--mode", "e2e-demo", "--duration", "100"], ["e2e-demo"]),
+    ])
+    def test_clamped_warmup_is_noted(self, tmp_path, monkeypatch, capsys, flags, labels):
+        monkeypatch.chdir(tmp_path)
+        assert main(flags) == EXIT_OK
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("gridchain: note:")]
+        assert len(notes) == len(labels)
+        for note, label in zip(notes, labels):
+            applied = re.fullmatch(f"gridchain: note: {label}: warm-up of 100 blocks "
+                                   r"clamped to (\d+); smallest measured window 2 blocks",
+                                   note)
+            assert applied is not None, note
+            assert int(applied.group(1)) < 100
+
+    @pytest.mark.parametrize("flags", [
+        ["--duration", "90", "--lambda", "2", "--runs", "1", "--warmup-blocks", "0"],
+        ["--duration", "300", "--lambda", "1", "--runs", "1"],
+    ])
+    def test_unclamped_warmup_prints_no_note(self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        assert main(flags) == EXIT_OK
+        assert "gridchain: note:" not in capsys.readouterr().err
