@@ -23,11 +23,12 @@ MIN_DIFFICULTY = 131072
 # The rest of the production rule, fixed: difficulty moves in steps of
 # parent // DIFFICULTY_DIVISOR, by at most -ZETA_FLOOR steps down per block,
 # and the exponential "bomb" term, dormant at private-network heights,
-# doubles every BOMB_PERIOD blocks from BOMB_OFFSET on.
+# doubles every BOMB_PERIOD blocks from BOMB_OFFSET on; it is 0 below BOMB_START.
 DIFFICULTY_DIVISOR = 2048
 ZETA_FLOOR = -99
 BOMB_OFFSET = 5_000_000
 BOMB_PERIOD = 100_000
+BOMB_START = BOMB_OFFSET + 2 * BOMB_PERIOD
 
 # A block may reference an uncle whose parent is its k-th generation
 # ancestor for 2 <= k <= MAX_UNCLE_GENERATIONS (the standard protocol window).
@@ -88,9 +89,12 @@ def compute_difficulty(
 
     For ``block_number == 0`` the result is ``MIN_DIFFICULTY`` and
     the intermediates are zeroed (``y = 1`` by convention).
+
+    The simulator evaluates this for every mining draw, so both clamps are
+    comparisons and ``bomb_term`` is called only from ``BOMB_START`` on.
     """
     if block_number == 0:
-        return DifficultyTrace(t=0, x=0, y=1, zeta=0, epsilon=0, result=MIN_DIFFICULTY)
+        return DifficultyTrace(0, 0, 1, 0, 0, MIN_DIFFICULTY)
     if parent is None:
         raise ValueError("non-genesis difficulty needs the parent header")
     if timestamp <= parent.timestamp:
@@ -100,10 +104,13 @@ def compute_difficulty(
     t = timestamp - parent.timestamp
     x = parent.difficulty // DIFFICULTY_DIVISOR
     y = 1 if not parent.uncle_ids else 2
-    zeta = max(y - t // params.lambda_, ZETA_FLOOR)
-    epsilon = bomb_term(block_number)
-    result = max(MIN_DIFFICULTY, parent.difficulty + x * zeta + epsilon)
-    return DifficultyTrace(t=t, x=x, y=y, zeta=zeta, epsilon=epsilon, result=result)
+    zeta = y - t // params.lambda_
+    if zeta < ZETA_FLOOR:
+        zeta = ZETA_FLOOR
+    epsilon = bomb_term(block_number) if block_number >= BOMB_START else 0
+    result = parent.difficulty + x * zeta + epsilon
+    return DifficultyTrace(t, x, y, zeta, epsilon,
+                           result if result > MIN_DIFFICULTY else MIN_DIFFICULTY)
 
 
 def fork_choice_head(tree: BlockTree) -> str:
@@ -133,9 +140,9 @@ def validate_uncle(tree: BlockTree, nephew: BlockHeader, uncle_id: str) -> bool:
     the nephew's ancestor path already includes it. Blocks already in the
     tree are assumed header-valid (they are validated on insertion).
     """
-    if uncle_id not in tree:
+    uncle = tree.blocks.get(uncle_id)
+    if uncle is None:
         return False
-    uncle = tree.blocks[uncle_id]
     # k = nephew.number - uncle.number + 1 is the generation of the uncle's
     # parent; restrict to the protocol window and forbid nephew's own height.
     k = nephew.number - uncle.number + 1
@@ -162,13 +169,15 @@ def eligible_uncles(tree: BlockTree, new_parent: str, known: Container[str]) -> 
 
     Deterministic: candidates are ordered by block number ascending, then by
     block id, and the first two valid ones are returned. The checks are
-    those of ``validate_uncle``, made against one lineage set and one set of
-    already-included uncles.
+    those of ``validate_uncle``, made against one set of already-included
+    uncles and, for ancestry, the parent's lineage tuple: it holds one block
+    per height, so a candidate at height h is an ancestor iff it is the
+    lineage's block at h, and its parent is one iff it is the block at h - 1.
     """
     nephew_number = tree.block(new_parent).number + 1
     lineage = tree.lineage[new_parent]
     blocks, by_number = tree.blocks, tree.by_number
-    ancestry: set[str] | None = None
+    included: set[str] | None = None
     out: list[str] = []
     lo = max(0, nephew_number - MAX_UNCLE_GENERATIONS + 1)
     for number in range(lo, nephew_number):
@@ -177,12 +186,13 @@ def eligible_uncles(tree: BlockTree, new_parent: str, known: Container[str]) -> 
         # block is no candidate.
         if len(ids) == 1:
             continue
-        if ancestry is None:  # built at the first height with a candidate
-            ancestry = set(lineage)
+        if included is None:  # built at the first height with a candidate
             included = {uid for aid in lineage for uid in blocks[aid].header.uncle_ids}
+        ancestor = lineage[nephew_number - 1 - number]
+        uncle_parent = lineage[nephew_number - number]
         for bid in sorted(ids):
-            if (bid in known and bid not in ancestry and bid not in included
-                    and blocks[bid].header.parent_id in ancestry):
+            if (bid not in included and bid != ancestor and bid in known
+                    and blocks[bid].header.parent_id == uncle_parent):
                 out.append(bid)
                 if len(out) == MAX_UNCLES_PER_BLOCK:
                     return out

@@ -277,7 +277,8 @@ def build_tx_table(
             # fill stops at the first misfit, so it would block the pool for good
             raise InvalidConfig("tx_gas_sampler drew gas above the block gas limit")
     else:
-        stat_gas = np.full(n_stat, config.mean_tx_gas, dtype=np.int64)
+        # One stored value, read-only: nothing writes a table's gas column.
+        stat_gas = np.broadcast_to(np.int64(config.mean_tx_gas), (n_stat,))
 
     if injected:
         inj = sorted(injected, key=lambda item: item[0])
@@ -460,11 +461,14 @@ class Simulation:
         self.tree = BlockTree(self.genesis)
         self.nodes = [NodeState(i, self.tree, self.table) for i in range(config.num_nodes)]
         self.hashrates = [config.total_hashrate * share for share in config.shares()]
-        # Per sender: (delay, receiver) for every other node, in index order.
-        self.links = [
-            [(config.delay(src, dst), dst) for dst in range(config.num_nodes) if dst != src]
-            for src in range(config.num_nodes)
-        ]
+        # Per sender: (delay, receivers in index order) for each distinct delay.
+        self.links = []
+        for src in range(config.num_nodes):
+            groups: dict[float, list[int]] = {}
+            for dst in range(config.num_nodes):
+                if dst != src:
+                    groups.setdefault(config.delay(src, dst), []).append(dst)
+            self.links.append([(delay, tuple(dsts)) for delay, dsts in groups.items()])
         # Block id -> the block's transaction ids as an index array.
         self.tx_arrays: dict[str, np.ndarray] = {}
         # Injected ids in ascending order, for the range lookup per block.
@@ -592,12 +596,16 @@ class Simulation:
         Per-receiver events would take consecutive sequence numbers, so no
         other event could fall between two of them with the same time: one
         event that delivers to each receiver in turn is the same order.
+        Distinct delays can still round to one arrival time, so groups whose
+        times coincide are merged.
         """
-        arrivals: dict[float, list[int]] = {}
-        for delay, dst in self.links[sender]:
-            arrivals.setdefault(now + delay, []).append(dst)
+        arrivals: dict[float, tuple[int, ...]] = {}
+        for delay, receivers in self.links[sender]:
+            time = now + delay
+            merged = arrivals.get(time)
+            arrivals[time] = receivers if merged is None else tuple(sorted(merged + receivers))
         for time, receivers in arrivals.items():
-            self._push(time, EventKind.BLOCK_RECEIVED, tuple(receivers), block)
+            self._push(time, EventKind.BLOCK_RECEIVED, receivers, block)
 
     def on_block_received(self, node_index: int, block: Block, now: float) -> None:
         """Take a delivered block, then reorganise if it is strictly heavier

@@ -113,6 +113,10 @@ class TestComputeDifficulty:
             (3, 2_048_000, 0, 100, 30),
             (3, 131072, 0, 1, 10_000),
             (3, 131072, 0, 5_300_000, 4),
+            # The last height without a bomb term (0) and the first with
+            # one (1): BOMB_OFFSET + 2 * BOMB_PERIOD = 5,200,000.
+            (3, 131072, 0, 5_199_999, 4),
+            (3, 131072, 0, 5_200_000, 4),
             (9, 131072, 1, 77, 17),
         ]
         for _ in range(60):

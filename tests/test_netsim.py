@@ -15,6 +15,7 @@ from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head, validate_heade
 from gridchain.contract import CallKind, ContractCall, dump_state, replay_chain
 from gridchain.metrics import ChainTooShort
 from gridchain.netsim import (
+    EventKind,
     InvalidConfig,
     NodeState,
     SimConfig,
@@ -648,6 +649,27 @@ class TestDelivery:
         result = run_simulation(config, 0)
         assert len(set(result.heads)) == 1
         assert result.stats.included_uncles > 0
+
+    def test_groups_whose_arrival_times_coincide_share_one_event(self):
+        # Node 0 reaches node 2 one ulp slower than nodes 1 and 3, so its
+        # receivers form two delay groups, but ``now + delay`` rounds to one
+        # time for both: the groups must merge into one event, receivers in
+        # index order, as one event per receiver in that order would run.
+        links = {(i, j): 0.1 for i in range(4) for j in range(4) if i != j}
+        links[(0, 2)] = links[(2, 0)] = math.nextafter(0.1, 1.0)
+        config = small_config(lambda_=1, num_nodes=4, tx_rate=5.0, sim_duration=600.0,
+                              seed=3, link_delays=links)
+        delivered = []
+
+        class Recording(Simulation):
+            def _push(self, time, kind, target, block=None, epoch=0):
+                if kind is EventKind.BLOCK_RECEIVED and block.header.miner == 0:
+                    delivered.append(target)
+                super()._push(time, kind, target, block, epoch)
+
+        Recording(config, 0).run()
+        assert delivered and set(delivered) == {(1, 2, 3)}
+        assert _traced_run(Simulation, config) == _traced_run(PerReceiverSimulation, config)
 
     def test_validated_block_missing_an_uncle_still_raises(self):
         sim = Simulation(small_config(tx_rate=0.0), 0)
