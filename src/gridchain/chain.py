@@ -9,6 +9,7 @@ once, when it is mined, so its parent is always in the tree.
 from __future__ import annotations
 
 import hashlib
+from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -204,7 +205,7 @@ class BlockTree:
         self.genesis_id = genesis.block_id
         self.blocks: dict[str, Block] = {genesis.block_id: genesis}
         self.total_difficulty: dict[str, int] = {genesis.block_id: genesis.header.difficulty}
-        # number -> list of block ids at that height, in insertion order
+        # number -> list of block ids at that height, in ascending id order
         self.by_number: dict[int, list[str]] = {genesis.number: [genesis.block_id]}
         # block id -> the block and its LINEAGE_ANCESTORS nearest ancestors,
         # nearest first, cut short at genesis
@@ -231,7 +232,7 @@ class BlockTree:
             raise UnknownParent(f"parent {parent_id!r} of block {bid!r} not in tree")
         self.blocks[bid] = block
         self.total_difficulty[bid] = self.total_difficulty[parent_id] + block.header.difficulty
-        self.by_number.setdefault(block.number, []).append(bid)
+        insort(self.by_number.setdefault(block.number, []), bid)
         self.lineage[bid] = (bid,) + self.lineage[parent_id][:LINEAGE_ANCESTORS]
         return True
 

@@ -168,7 +168,8 @@ def eligible_uncles(tree: BlockTree, new_parent: str, known: Container[str]) -> 
     blocks whose ids are in ``known`` (``tree.blocks`` for all of them).
 
     Deterministic: candidates are ordered by block number ascending, then by
-    block id, and the first two valid ones are returned. The checks are
+    block id (the order ``tree.by_number`` keeps each height's ids in), and
+    the first two valid ones are returned. The checks are
     those of ``validate_uncle``, made against one set of already-included
     uncles and, for ancestry, the parent's lineage tuple: it holds one block
     per height, so a candidate at height h is an ancestor iff it is the
@@ -190,7 +191,7 @@ def eligible_uncles(tree: BlockTree, new_parent: str, known: Container[str]) -> 
             included = {uid for aid in lineage for uid in blocks[aid].header.uncle_ids}
         ancestor = lineage[nephew_number - 1 - number]
         uncle_parent = lineage[nephew_number - number]
-        for bid in sorted(ids):
+        for bid in ids:
             if (bid not in included and bid != ancestor and bid in known
                     and blocks[bid].header.parent_id == uncle_parent):
                 out.append(bid)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -58,6 +59,13 @@ TRACE_HEADER = "time,kind,node,block_id,number,difficulty,timestamp,n_tx,n_uncle
 
 class InvalidConfig(ValueError):
     pass
+
+
+# SimConfig fields that hold whole numbers. An integral float is taken as
+# its int when the config is built; any other non-integer value (a NaN, an
+# infinity, a fraction) is an invalid config.
+INTEGER_FIELDS = ("lambda_", "num_nodes", "block_gas_limit", "mean_tx_gas", "num_runs",
+                  "warmup_blocks", "initial_difficulty")
 
 
 @dataclass
@@ -99,6 +107,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.hash_shares is not None:
             self.hash_shares = tuple(float(s) for s in self.hash_shares)
+        for name in INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                setattr(self, name, int(value))
 
     def shares(self) -> tuple[float, ...]:
         if self.hash_shares is None:
@@ -106,9 +118,14 @@ class SimConfig:
         return self.hash_shares
 
     def validate(self) -> None:
+        for name in INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    or (value is None and name == "initial_difficulty")):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.num_nodes < 1:
             raise InvalidConfig("num_nodes must be >= 1")
-        if self.lambda_ < 1 or int(self.lambda_) != self.lambda_:
+        if self.lambda_ < 1:
             raise InvalidConfig("lambda must be a positive integer (seconds)")
         shares = self.shares()
         if len(shares) != self.num_nodes:
@@ -329,12 +346,15 @@ class NodeState:
     * ``in_chain`` holds one flag per id, set while the id is on the node's
       canonical chain. Mining a block and reorganising flip a block's ids
       with one array assignment.
-    * Delivery is two cut-offs on the sorted arrival times, moved forward by
-      ``catch_up``: every id below ``cut_all`` arrived at least one
-      propagation delay ago and has reached every node; the node's own ids
-      in ``[cut_all, cut_own)`` arrived by now and are delivered too.
-    * ``fill`` takes the delivered ids that are not in the chain, in id
-      (arrival) order, and stops at the first one that does not fit.
+    * ``delivered`` holds one flag per id, set once the id has reached the
+      node, at one byte per arrival: the node's own ids are set from the
+      start, and ``catch_up`` sets every id below ``cut_all`` (arrived at
+      least one propagation delay ago, so at every node) with one slice
+      assignment as that cut-off moves forward. ``cut_own`` bounds the own
+      ids that have arrived by now; ids from it on are not read.
+    * ``fill`` takes the ids below ``cut_own`` that are delivered and not in
+      the chain, in id (arrival) order, and stops at the first one that
+      does not fit.
 
     So the pool is delivered minus on-chain by construction: when a reorg
     abandons a block, its ids return to every node that had them delivered.
@@ -350,6 +370,7 @@ class NodeState:
         "orphans",
         "epoch",
         "in_chain",
+        "delivered",
         "cut_all",
         "cut_own",
         "low",
@@ -364,6 +385,7 @@ class NodeState:
         self.orphans: dict[str, list[Block]] = {}
         self.epoch = 0
         self.in_chain = np.zeros(table.count, dtype=np.bool_)
+        self.delivered = table.origins == index
         self.cut_all = 0
         self.cut_own = 0
         self.low = 0
@@ -371,7 +393,10 @@ class NodeState:
     def catch_up(self, now: float, delay: float) -> None:
         """Deliver arrivals due by ``now``: own immediately, foreign delayed."""
         times = self.table.times
-        self.cut_all = max(self.cut_all, int(times.searchsorted(now - delay, "right")))
+        cut_all = int(times.searchsorted(now - delay, "right"))
+        if cut_all > self.cut_all:
+            self.delivered[self.cut_all:cut_all] = True
+            self.cut_all = cut_all
         self.cut_own = max(self.cut_own, int(times.searchsorted(now, "right")))
 
     def set_in_chain(self, tx_ids: np.ndarray | Sequence[int], flag: bool) -> None:
@@ -385,17 +410,14 @@ class NodeState:
         """Available ids in arrival order, as one ``intp`` array, up to the
         first that would push the gas sum past ``gas_limit``; the pool
         itself is not changed."""
-        flags, cut_all, end = self.in_chain, self.cut_all, self.cut_own
+        delivered, in_chain = self.delivered, self.in_chain
+        cut_all, end = self.cut_all, self.cut_own
         taken: list[np.ndarray] = []
         total = 0
         start = self.low
         while start < end:
             stop = min(start + FILL_CHUNK, end)
-            free = ~flags[start:stop]
-            if stop > cut_all:  # from cut_all on, only own ids are delivered
-                k0 = max(cut_all - start, 0)
-                free[k0:] &= self.table.origins[start + k0 : stop] == self.index
-            ids = free.nonzero()[0] + start
+            ids = (delivered[start:stop] > in_chain[start:stop]).nonzero()[0] + start
             if start == self.low:
                 # Ids before the first free one are in the chain. Stop at
                 # cut_all: foreign ids past it are not delivered yet.

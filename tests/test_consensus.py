@@ -342,6 +342,18 @@ def fork_tree(rng: random.Random, size: int) -> BlockTree:
     return tree
 
 
+def reinserted(tree: BlockTree, rng: random.Random) -> BlockTree:
+    """The blocks of ``tree`` inserted into a new tree in another
+    parent-first order: heights ascending, each height's blocks shuffled."""
+    blocks = [b for b in tree.blocks.values() if b.block_id != tree.genesis_id]
+    rng.shuffle(blocks)
+    blocks.sort(key=lambda b: b.number)  # stable: a shuffled order per height
+    copy = BlockTree(tree.blocks[tree.genesis_id])
+    for block in blocks:
+        copy.insert_block(block)
+    return copy
+
+
 def compare_uncle_selection(tree: BlockTree) -> Counter:
     """Assert the lineage-based uncle checks agree with the oracles for
     every (nephew parent, candidate) pair; count the edge cases met."""
@@ -368,7 +380,11 @@ class TestUncleSelectionOracle:
     @settings(max_examples=40, deadline=None)
     @given(rng=st.randoms(use_true_random=False), size=st.integers(1, 40))
     def test_matches_per_candidate_oracle(self, rng, size):
-        compare_uncle_selection(fork_tree(rng, size))
+        tree = fork_tree(rng, size)
+        # The same blocks inserted in another order select the same uncles.
+        for t in (tree, reinserted(tree, rng)):
+            compare_uncle_selection(t)
+            assert all(ids == sorted(ids) for ids in t.by_number.values())
 
     def test_random_trees_reach_the_edge_cases(self):
         seen: Counter = Counter()

@@ -32,6 +32,7 @@ from conftest import addr, line_link_delays, tx
 from oracles import (
     PerReceiverSimulation,
     build_tx_table_argsort,
+    delivered,
     fill_block,
     generate_tx_arrivals,
     header_digest,
@@ -66,6 +67,44 @@ class TestConfigValidation:
     def test_lambda_positive_integer(self):
         with pytest.raises(InvalidConfig):
             SimConfig(lambda_=0).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("lambda_", math.inf),
+        ("lambda_", math.nan),
+        ("lambda_", 2.5),
+        ("num_nodes", 2.5),
+        ("num_nodes", math.nan),
+        ("block_gas_limit", math.nan),
+        ("block_gas_limit", math.inf),
+        ("block_gas_limit", 15e6 + 0.5),
+        ("mean_tx_gas", math.nan),
+        ("mean_tx_gas", 45_000.5),
+        ("num_runs", math.nan),
+        ("num_runs", 1.5),
+        ("warmup_blocks", math.nan),
+        ("warmup_blocks", math.inf),
+        ("initial_difficulty", math.nan),
+        ("initial_difficulty", math.inf),
+        ("initial_difficulty", 131072.5),
+    ])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        # A NaN gas limit used to let a block take every pending transaction.
+        base = dict(lambda_=12, sim_duration=200.0, num_runs=1, warmup_blocks=0)
+        config = SimConfig(**{**base, field: value})
+        with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+            config.validate()
+        with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+            run_simulation(config, 0)
+
+    def test_integral_floats_run_as_their_ints(self):
+        ints = dict(lambda_=3, num_nodes=3, block_gas_limit=15_000_000, mean_tx_gas=45_000,
+                    num_runs=1, warmup_blocks=0, initial_difficulty=400_000)
+        floats = SimConfig(sim_duration=100.0, **{k: float(v) for k, v in ints.items()})
+        floats.validate()
+        assert {k: getattr(floats, k) for k in ints} == ints
+        assert all(type(getattr(floats, k)) is int for k in ints)
+        assert run_simulation(floats, 0).stats == run_simulation(
+            SimConfig(sim_duration=100.0, **ints), 0).stats
 
     def test_link_delays_must_be_metric(self):
         # 0.1 s links, but 3 s between nodes 0 and 2: a nephew would reach
@@ -253,6 +292,29 @@ class TestPool:
         foreign = int(np.flatnonzero(origins != 0)[20])
         node.catch_up(float(times[foreign]), 0.0)  # foreign: after the delay
         assert set(range(foreign + 1)) <= pending_ids(node)
+
+    def test_catch_up_never_moves_delivery_back(self):
+        sim = Simulation(small_config(tx_rate=10.0), 0)
+        node = sim.nodes[1]
+        now, delay = 30.0, sim.config.propagation_delay
+
+        def state():
+            return node.cut_all, node.cut_own, pending_ids(node), node.delivered.copy()
+
+        node.catch_up(now, delay)
+        before = state()
+        assert 0 < node.cut_all < node.cut_own < sim.table.count
+        for earlier_now, longer_delay in ((now - 10.0, delay), (now, delay + 10.0),
+                                          (0.0, 0.0), (-math.inf, delay)):
+            node.catch_up(earlier_now, longer_delay)
+            after = state()
+            assert after[:3] == before[:3]
+            assert np.array_equal(after[3], before[3])
+        node.catch_up(now + 5.0, delay)
+        assert pending_ids(node) == _delivered_ids(sim, node, now + 5.0)
+        # The node's own mask agrees with the cut-offs wherever fill reads it.
+        end = node.cut_own
+        assert np.array_equal(node.delivered[:end], delivered(node)[:end])
 
     def test_pool_is_delivered_minus_chain_after_every_event(self, monkeypatch):
         config = small_config(lambda_=1, num_nodes=4, propagation_delay=2.0, tx_rate=20.0,
