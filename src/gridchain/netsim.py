@@ -37,7 +37,6 @@ import numpy as np
 
 from .chain import (
     Block,
-    BlockHeader,
     BlockTree,
     Transaction,
     assemble_block,
@@ -65,7 +64,7 @@ class InvalidConfig(ValueError):
 # its int when the config is built; any other non-integer value (a NaN, an
 # infinity, a fraction) is an invalid config.
 INTEGER_FIELDS = ("lambda_", "num_nodes", "block_gas_limit", "mean_tx_gas", "num_runs",
-                  "warmup_blocks", "initial_difficulty")
+                  "seed", "warmup_blocks", "initial_difficulty")
 
 
 @dataclass
@@ -325,9 +324,6 @@ class EventKind(Enum):
 FILL_CHUNK = 1024
 # Standard exponentials drawn at a time for solve times.
 SOLVE_TIME_BATCH = 1024
-# Child difficulties kept per run, keyed by (parent id, timestamp); the
-# cache is emptied when full.
-DIFFICULTY_CACHE = 64
 
 
 class NodeState:
@@ -483,20 +479,13 @@ class Simulation:
         self.tree = BlockTree(self.genesis)
         self.nodes = [NodeState(i, self.tree, self.table) for i in range(config.num_nodes)]
         self.hashrates = [config.total_hashrate * share for share in config.shares()]
-        # Per sender: (delay, receivers in index order) for each distinct delay.
-        self.links = []
-        for src in range(config.num_nodes):
-            groups: dict[float, list[int]] = {}
-            for dst in range(config.num_nodes):
-                if dst != src:
-                    groups.setdefault(config.delay(src, dst), []).append(dst)
-            self.links.append([(delay, tuple(dsts)) for delay, dsts in groups.items()])
+        # Per sender: (delay, receiver) for every other node, in index order.
+        self.links = [[(config.delay(src, dst), dst) for dst in range(config.num_nodes)
+                       if dst != src] for src in range(config.num_nodes)]
         # Block id -> the block's transaction ids as an index array.
         self.tx_arrays: dict[str, np.ndarray] = {}
         # Injected ids in ascending order, for the range lookup per block.
         self.injected_ids = sorted(self.table.injected)
-        # (parent id, timestamp) -> child difficulty; see ``_difficulty``.
-        self.difficulties: dict[tuple[str, int], int] = {}
         # Unused standard exponentials for ``_solve_time``, last one next.
         self.exponentials: list[float] = []
         # (time, sequence, kind, target, block, epoch); the sequence is
@@ -521,20 +510,6 @@ class Simulation:
             f"{h.timestamp},{len(block.tx_ids)},{len(h.uncle_ids)}\n"
         )
 
-    def _difficulty(self, parent: BlockHeader, timestamp: int) -> int:
-        """Difficulty of a child of ``parent`` at ``timestamp``, evaluated
-        once for the miner's draw, the receivers' draws in the same event and
-        the mined block."""
-        key = (parent.block_id, timestamp)
-        cache = self.difficulties
-        difficulty = cache.get(key)
-        if difficulty is None:
-            if len(cache) >= DIFFICULTY_CACHE:
-                cache.clear()
-            difficulty = cache[key] = compute_difficulty(
-                self.params, parent, parent.number + 1, timestamp).result
-        return difficulty
-
     def _solve_time(self, scale: float) -> float:
         """Exponential draw with mean ``scale``: bit for bit what
         ``rng.exponential(scale)`` returns, from a buffered stream.
@@ -555,7 +530,8 @@ class Simulation:
             return
         node.epoch += 1
         head = node.head_block.header
-        difficulty = self._difficulty(head, max(head.timestamp + 1, int(now)))
+        difficulty = compute_difficulty(self.params, head, head.number + 1,
+                                        max(head.timestamp + 1, int(now))).result
         dt = self._solve_time(difficulty / self.hashrates[node.index])
         self._push(now + dt, EventKind.BLOCK_MINED, node.index, epoch=node.epoch)
 
@@ -583,7 +559,7 @@ class Simulation:
         tree = self.tree
         parent = node.head_block.header
         timestamp = max(parent.timestamp + 1, int(now))
-        difficulty = self._difficulty(parent, timestamp)
+        difficulty = compute_difficulty(self.params, parent, parent.number + 1, timestamp).result
         uncles = eligible_uncles(tree, parent.block_id, node.known)
         node.catch_up(now, self.config.propagation_delay)
         id_array, gas_used = node.fill(self.table.gas, self.config.block_gas_limit)
@@ -618,16 +594,12 @@ class Simulation:
         Per-receiver events would take consecutive sequence numbers, so no
         other event could fall between two of them with the same time: one
         event that delivers to each receiver in turn is the same order.
-        Distinct delays can still round to one arrival time, so groups whose
-        times coincide are merged.
         """
-        arrivals: dict[float, tuple[int, ...]] = {}
-        for delay, receivers in self.links[sender]:
-            time = now + delay
-            merged = arrivals.get(time)
-            arrivals[time] = receivers if merged is None else tuple(sorted(merged + receivers))
+        arrivals: dict[float, list[int]] = {}
+        for delay, receiver in self.links[sender]:
+            arrivals.setdefault(now + delay, []).append(receiver)
         for time, receivers in arrivals.items():
-            self._push(time, EventKind.BLOCK_RECEIVED, receivers, block)
+            self._push(time, EventKind.BLOCK_RECEIVED, tuple(receivers), block)
 
     def on_block_received(self, node_index: int, block: Block, now: float) -> None:
         """Take a delivered block, then reorganise if it is strictly heavier

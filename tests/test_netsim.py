@@ -81,6 +81,9 @@ class TestConfigValidation:
         ("mean_tx_gas", 45_000.5),
         ("num_runs", math.nan),
         ("num_runs", 1.5),
+        ("seed", 1.5),
+        ("seed", math.nan),
+        ("seed", "3"),
         ("warmup_blocks", math.nan),
         ("warmup_blocks", math.inf),
         ("initial_difficulty", math.nan),
@@ -98,7 +101,7 @@ class TestConfigValidation:
 
     def test_integral_floats_run_as_their_ints(self):
         ints = dict(lambda_=3, num_nodes=3, block_gas_limit=15_000_000, mean_tx_gas=45_000,
-                    num_runs=1, warmup_blocks=0, initial_difficulty=400_000)
+                    num_runs=1, seed=2, warmup_blocks=0, initial_difficulty=400_000)
         floats = SimConfig(sim_duration=100.0, **{k: float(v) for k, v in ints.items()})
         floats.validate()
         assert {k: getattr(floats, k) for k in ints} == ints
@@ -865,13 +868,24 @@ class TestHeadersOnDrawnConfigs:
         tx_rate=st.floats(0.0, 30.0),
         duration=st.floats(20.0, 400.0),
         seed=st.integers(0, 2**16),
+        # None, or uniform integer gas in [lo, hi] with hi <= the gas limit.
+        gas_range=st.none() | st.lists(st.integers(1, 15_000_000), min_size=2,
+                                       max_size=2).map(sorted),
     )
     def test_every_block_passes_validate_header_in_a_fresh_tree(
-            self, num_nodes, weights, delay, lambda_, tx_rate, duration, seed):
+            self, num_nodes, weights, delay, lambda_, tx_rate, duration, seed, gas_range):
+        if gas_range is None:
+            sampler = None
+        else:
+            lo, hi = gas_range
+
+            def sampler(rng, n):
+                return rng.integers(lo, hi + 1, size=n)
+
         shares = tuple(w / sum(weights[:num_nodes]) for w in weights[:num_nodes])
         config = SimConfig(lambda_=lambda_, num_nodes=num_nodes, hash_shares=shares,
                            propagation_delay=delay, tx_rate=tx_rate, sim_duration=duration,
-                           warmup_blocks=0, seed=seed)
+                           warmup_blocks=0, seed=seed, tx_gas_sampler=sampler)
         sim = Simulation(config, 0)
         try:
             stats = sim.run().stats
