@@ -11,11 +11,12 @@ its block is mined, and a node differs from another only in the ids it
 holds, its head, its orphan buffer (used only by direct calls) and its pool.
 
 Determinism: a run is a pure function of (config, run_index). Events are
-processed in (time, sequence) order from a single heap, every random draw
-comes from one generator seeded with (seed, run_index), and transaction
-arrivals are precomputed into arrays (a transaction only becomes visible to
-the chain when a node mines, so batch delivery is observationally equivalent
-to one event per arrival).
+processed in (time, sequence) order: deliveries from a heap, mining draws
+from one timer per node (a redraw replaces the node's timer), both numbered
+by one counter. Every random draw comes from one generator seeded with
+(seed, run_index), and transaction arrivals are precomputed into arrays (a
+transaction only becomes visible to the chain when a node mines, so batch
+delivery is observationally equivalent to one event per arrival).
 
 Timestamps are integer seconds with the strict-monotonicity fix
 ``max(parent + 1, floor(now))``; the difficulty rule's interval term needs
@@ -324,6 +325,8 @@ class EventKind(Enum):
 FILL_CHUNK = 1024
 # Standard exponentials drawn at a time for solve times.
 SOLVE_TIME_BATCH = 1024
+# A node's mining timer when it holds no live draw: later than any event.
+IDLE = (math.inf, -1, -1)
 
 
 class NodeState:
@@ -488,11 +491,13 @@ class Simulation:
         self.injected_ids = sorted(self.table.injected)
         # Unused standard exponentials for ``_solve_time``, last one next.
         self.exponentials: list[float] = []
-        # (time, sequence, kind, target, block, epoch); the sequence is
-        # unique, so the heap orders by (time, sequence) and compares nothing
-        # else. A mining event targets a node index, a delivery a tuple of
-        # receivers in index order.
+        # Deliveries as (time, sequence, receivers, block), receivers in
+        # index order; the sequence is unique, so the heap orders by
+        # (time, sequence) and compares nothing else.
         self.events: list[tuple] = []
+        # Per node: its one live mining draw as (time, sequence, node), or
+        # IDLE. Sequences come from the same counter as the events'.
+        self.timers: list[tuple] = [IDLE] * config.num_nodes
         self._sequence = itertools.count()
         self.trace = trace
         if trace is not None:
@@ -500,7 +505,9 @@ class Simulation:
 
     def _push(self, time: float, kind: EventKind, target: int | tuple[int, ...],
               block: Block | None = None, epoch: int = 0) -> None:
-        heapq.heappush(self.events, (time, next(self._sequence), kind, target, block, epoch))
+        """Queue the delivery of ``block`` to the receivers ``target``; the
+        heap holds deliveries only, so ``kind`` and ``epoch`` are not kept."""
+        heapq.heappush(self.events, (time, next(self._sequence), target, block))
 
     def _trace(self, time: float, kind: str, node: int, block: Block) -> None:
         """Write one trace row; callers check that a trace is open."""
@@ -524,16 +531,21 @@ class Simulation:
         return scale * buffer.pop()
 
     def _schedule_mining(self, node: NodeState, now: float) -> None:
-        """Draw the node's next solve time on its current head. From the end
-        of the run on, it does nothing: no draw, no new epoch, no event."""
-        if now >= self.config.sim_duration:
+        """Draw the node's next solve time on its current head and set its
+        timer to it, replacing any earlier draw; ``node.epoch`` counts the
+        draws. A draw that lands after the end leaves the timer idle. From
+        the end of the run on, it does nothing: no draw, no new epoch, the
+        timer as it was."""
+        duration = self.config.sim_duration
+        if now >= duration:
             return
         node.epoch += 1
         head = node.head_block.header
         difficulty = compute_difficulty(self.params, head, head.number + 1,
                                         max(head.timestamp + 1, int(now))).result
-        dt = self._solve_time(difficulty / self.hashrates[node.index])
-        self._push(now + dt, EventKind.BLOCK_MINED, node.index, epoch=node.epoch)
+        time = now + self._solve_time(difficulty / self.hashrates[node.index])
+        self.timers[node.index] = (
+            (time, next(self._sequence), node.index) if time <= duration else IDLE)
 
     def _injected_in(self, tx_ids: Sequence[int]) -> tuple[Transaction, ...]:
         """The injected transactions among ``tx_ids`` (ascending), in order:
@@ -633,27 +645,31 @@ class Simulation:
         """Move the node's canonical state from the old head to ``new_head``:
         abandoned blocks return their transactions to the pool, adopted
         blocks claim theirs, and mining restarts on the new head."""
-        blocks = self.tree.blocks
+        tx_arrays = self.tx_arrays
         old = node.head_block.header
         new = new_head.header
-        removed: list[str] = []
-        added: list[str] = []
-        while old.number > new.number:
-            removed.append(old.block_id)
-            old = blocks[old.parent_id].header
-        while new.number > old.number:
-            added.append(new.block_id)
-            new = blocks[new.parent_id].header
-        while old.block_id != new.block_id:
-            removed.append(old.block_id)
-            old = blocks[old.parent_id].header
-            added.append(new.block_id)
-            new = blocks[new.parent_id].header
-        tx_arrays = self.tx_arrays
-        for bid in removed:
-            node.set_in_chain(tx_arrays[bid], False)
-        for bid in added:
-            node.set_in_chain(tx_arrays[bid], True)
+        if new.parent_id == old.block_id:
+            # One block on top of the old head: nothing is abandoned.
+            node.set_in_chain(tx_arrays[new.block_id], True)
+        else:
+            blocks = self.tree.blocks
+            removed: list[str] = []
+            added: list[str] = []
+            while old.number > new.number:
+                removed.append(old.block_id)
+                old = blocks[old.parent_id].header
+            while new.number > old.number:
+                added.append(new.block_id)
+                new = blocks[new.parent_id].header
+            while old.block_id != new.block_id:
+                removed.append(old.block_id)
+                old = blocks[old.parent_id].header
+                added.append(new.block_id)
+                new = blocks[new.parent_id].header
+            for bid in removed:
+                node.set_in_chain(tx_arrays[bid], False)
+            for bid in added:
+                node.set_in_chain(tx_arrays[bid], True)
         node.head_block = new_head
         self._schedule_mining(node, now)
 
@@ -676,20 +692,30 @@ class Simulation:
             if best != node.head_block.block_id:
                 self._reorg(node, tree.blocks[best], self.config.sim_duration)
 
+    def _process_events(self) -> None:
+        """Run deliveries and mining draws in (time, sequence) order until
+        the heap is empty and every timer is idle. The earliest timer is
+        found by a scan over the nodes, and cleared before its block is
+        mined."""
+        events, timers = self.events, self.timers
+        while True:
+            timer = min(timers)
+            if events and events[0] < timer:
+                time, _, receivers, block = heapq.heappop(events)
+                for index in receivers:
+                    self.on_block_received(index, block, time)
+            elif timer is IDLE:
+                return
+            else:
+                time, _, index = timer
+                timers[index] = IDLE
+                self.on_block_mined(index, time)
+
     def run(self) -> RunResult:
         duration = self.config.sim_duration
         for node in self.nodes:
             self._schedule_mining(node, 0.0)
-        events = self.events
-        while events:
-            time, _, kind, target, block, epoch = heapq.heappop(events)
-            if kind is EventKind.BLOCK_MINED:
-                if epoch != self.nodes[target].epoch or time > duration:
-                    continue
-                self.on_block_mined(target, time)
-            else:
-                for index in target:
-                    self.on_block_received(index, block, time)
+        self._process_events()
         self._settle()
 
         node0 = self.nodes[0]

@@ -6,21 +6,29 @@ per-receiver block delivery behind the simulator's one event per arrival
 time and one header check per block, one ``rng.exponential`` call per solve
 time behind the simulator's buffered stream, and the library's own AES-CTR
 mode, one cipher per field, behind the meter's one AES call per record,
-the tuple ``repr`` block id behind the digest of an id range, and one
+the tuple ``repr`` block id behind the digest of an id range, one
 stable ``argsort`` over generated and injected arrivals behind the linear
-merge of injected transactions.
+merge of injected transactions, and one heap entry per mining draw with a
+full chain walk on every reorg behind the simulator's per-node mining
+timers and its one-block extension.
 Also the readers and writers that only tests need: a node's delivered set
 and pool, and a meter stream file."""
 
 import dataclasses
 import hashlib
+import heapq
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from gridchain.chain import TX_SIZE_KB, Address, Block, BlockHeader, BlockTree, Transaction
-from gridchain.consensus import MAX_UNCLE_GENERATIONS, MAX_UNCLES_PER_BLOCK, validate_header
+from gridchain.consensus import (
+    MAX_UNCLE_GENERATIONS,
+    MAX_UNCLES_PER_BLOCK,
+    compute_difficulty,
+    validate_header,
+)
 from gridchain.meter import MeterRecord, SymmetricKey, field_counter
 from gridchain.netsim import EventKind, NodeState, SimConfig, Simulation, TxTable, build_tx_table
 
@@ -212,6 +220,66 @@ class PerReceiverSimulation(Simulation):
         td = self.tree.total_difficulty
         if td[block.block_id] > td[node.head_block.block_id]:
             self._reorg(node, block, now)
+
+
+class HeapMiningSimulation(Simulation):
+    """The simulator with every mining draw pushed on the event heap as
+    (time, sequence, kind, target, block, epoch). A popped draw is dropped
+    when a later draw has moved its node's epoch on, or when it lands after
+    the end; ``late_draws`` counts the live ones dropped for the end. Every
+    reorg walks both branches down to their common ancestor."""
+
+    late_draws = 0
+
+    def _push(self, time, kind, target, block=None, epoch=0):
+        heapq.heappush(self.events, (time, next(self._sequence), kind, target, block, epoch))
+
+    def _schedule_mining(self, node: NodeState, now: float) -> None:
+        if now >= self.config.sim_duration:
+            return
+        node.epoch += 1
+        head = node.head_block.header
+        difficulty = compute_difficulty(self.params, head, head.number + 1,
+                                        max(head.timestamp + 1, int(now))).result
+        dt = self._solve_time(difficulty / self.hashrates[node.index])
+        self._push(now + dt, EventKind.BLOCK_MINED, node.index, epoch=node.epoch)
+
+    def _process_events(self) -> None:
+        events = self.events
+        while events:
+            time, _, kind, target, block, epoch = heapq.heappop(events)
+            if kind is EventKind.BLOCK_MINED:
+                if epoch != self.nodes[target].epoch:
+                    continue
+                if time > self.config.sim_duration:
+                    self.late_draws += 1
+                    continue
+                self.on_block_mined(target, time)
+            else:
+                for index in target:
+                    self.on_block_received(index, block, time)
+
+    def _reorg(self, node: NodeState, new_head: Block, now: float) -> None:
+        blocks = self.tree.blocks
+        old, new = node.head_block.header, new_head.header
+        removed, added = [], []
+        while old.number > new.number:
+            removed.append(old.block_id)
+            old = blocks[old.parent_id].header
+        while new.number > old.number:
+            added.append(new.block_id)
+            new = blocks[new.parent_id].header
+        while old.block_id != new.block_id:
+            removed.append(old.block_id)
+            old = blocks[old.parent_id].header
+            added.append(new.block_id)
+            new = blocks[new.parent_id].header
+        for bid in removed:
+            node.set_in_chain(self.tx_arrays[bid], False)
+        for bid in added:
+            node.set_in_chain(self.tx_arrays[bid], True)
+        node.head_block = new_head
+        self._schedule_mining(node, now)
 
 
 def ctr_keystream_xor(data: bytes, key: SymmetricKey, counter0: bytes) -> bytes:

@@ -30,6 +30,7 @@ from gridchain.netsim import (
 
 from conftest import addr, line_link_delays, tx
 from oracles import (
+    HeapMiningSimulation,
     PerReceiverSimulation,
     build_tx_table_argsort,
     delivered,
@@ -535,12 +536,32 @@ class TestEndOfRun:
             sim._schedule_mining(node, 0.0)
         for now in (config.sim_duration, config.sim_duration + 1.0):
             for node in sim.nodes:
-                epoch, events = node.epoch, list(sim.events)
+                epoch, events, timers = node.epoch, list(sim.events), list(sim.timers)
                 rng_state = sim.rng.bit_generator.state
                 sim._schedule_mining(node, now)
                 assert node.epoch == epoch
                 assert sim.events == events
+                assert sim.timers == timers
                 assert sim.rng.bit_generator.state == rng_state
+
+    def test_a_draw_past_the_end_is_spent_but_leaves_the_timer_idle(self):
+        config = small_config()
+        sim = Simulation(config, 0)
+        node = sim.nodes[0]
+        now = config.sim_duration - 0.5
+        rng_state = sim.rng.bit_generator.state
+        # Buffered standard exponentials, next one last: a solve time a
+        # millionth of the mean lands before the end, a million means after.
+        sim.exponentials[:] = [1e6, 1e-6]
+        sim._schedule_mining(node, now)
+        time, _, index = sim.timers[0]
+        assert (index, node.epoch, sim.exponentials) == (0, 1, [1e6])
+        assert now < time <= config.sim_duration
+        sim._schedule_mining(node, now)  # the redraw replaces the live timer
+        assert (node.epoch, sim.exponentials) == (2, [])
+        assert sim.timers == [netsim.IDLE] * config.num_nodes
+        assert sim.events == []
+        assert sim.rng.bit_generator.state == rng_state
 
     @pytest.mark.parametrize("config", [
         small_config(),
@@ -650,14 +671,46 @@ class TestEventSemantics:
 
 
 def _traced_run(sim_class, config):
-    """The trace, the stats (or the error that refused them) and the heads."""
-    buf = io.StringIO()
-    sim = sim_class(config, 0, trace=buf)
+    """What a traced run of ``sim_class`` leaves: see ``_run_outcome``."""
+    return _run_outcome(sim_class(config, 0, trace=io.StringIO()))
+
+
+def _run_outcome(sim):
+    """Run ``sim``, traced to a ``StringIO``: the trace, the stats (or the
+    error that refused them), the heads, each node's draw count and the
+    generator's final state with its unused buffered draws."""
     try:
         stats = repr(sim.run().stats)
     except ChainTooShort as exc:  # a short draw can mine fewer than two blocks
         stats = repr(exc)
-    return buf.getvalue(), stats, [node.head_block.block_id for node in sim.nodes]
+    return (sim.trace.getvalue(), stats, [node.head_block.block_id for node in sim.nodes],
+            [node.epoch for node in sim.nodes], sim.rng.bit_generator.state,
+            list(sim.exponentials))
+
+
+class TestMiningTimers:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        weights=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+        delay=st.just(0.0) | st.floats(0.0, 3.0),
+        positions=st.none() | st.lists(st.floats(0.0, 3.0), min_size=6, max_size=6),
+        base=st.floats(0.0, 1.0),
+        lambda_=st.integers(1, 12),
+        tx_rate=st.floats(0.0, 30.0),
+        duration=st.floats(20.0, 400.0),
+    )
+    def test_matches_one_heap_entry_per_draw(self, seed, weights, delay, positions, base,
+                                             lambda_, tx_rate, duration):
+        n = len(weights)
+        links = None if positions is None else line_link_delays(positions[:n], base)
+        config = SimConfig(lambda_=lambda_, num_nodes=n,
+                           hash_shares=tuple(w / sum(weights) for w in weights),
+                           propagation_delay=delay, link_delays=links, tx_rate=tx_rate,
+                           sim_duration=duration, warmup_blocks=3, seed=seed)
+        oracle = HeapMiningSimulation(config, 0, trace=io.StringIO())
+        assert _traced_run(Simulation, config) == _run_outcome(oracle)
+        assert oracle.late_draws > 0  # the last draws landed after the end
 
 
 class TestDelivery:
