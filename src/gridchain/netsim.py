@@ -31,7 +31,6 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -236,7 +235,8 @@ def _sample_arrival_times(rate: float, duration: float, rng: np.random.Generator
         # A tiny rate draws gaps near the float maximum; their sum may
         # overflow to inf, which lies past the end as it should.
         with np.errstate(over="ignore"):
-            chunk = t + np.cumsum(gaps)
+            chunk = np.cumsum(gaps, out=gaps)
+            chunk += t
         if chunk[-1] >= duration:
             chunks.append(chunk[chunk < duration])
             break
@@ -251,6 +251,9 @@ class TxTable:
     these arrays. Injected transactions (the metering pipeline) are
     re-numbered into arrival order and kept as objects in ``injected``,
     with their payloads.
+
+    When every id carries one gas value, ``gas`` is a read-only zero-stride
+    view of that value, and ``NodeState.fill`` fills by count.
     """
 
     def __init__(
@@ -286,7 +289,8 @@ def build_tx_table(
         if n_stat
         else np.empty(0, dtype=np.int64)
     )
-    if config.tx_gas_sampler is not None and n_stat:
+    uniform = config.tx_gas_sampler is None or not n_stat
+    if not uniform:
         stat_gas = np.asarray(config.tx_gas_sampler(rng, n_stat), dtype=np.int64)
         if len(stat_gas) != n_stat or (stat_gas <= 0).any():
             raise InvalidConfig("tx_gas_sampler must return positive gas per transaction")
@@ -305,7 +309,11 @@ def build_tx_table(
         at = stat_times.searchsorted(inj_times, "right")
         times = np.insert(stat_times, at, inj_times)
         origins = np.insert(stat_origins, at, [item[1] for item in inj])
-        gas = np.insert(stat_gas, at, [item[2].gas for item in inj])
+        inj_gas = [item[2].gas for item in inj]
+        if uniform and set(inj_gas) == {config.mean_tx_gas}:
+            gas = np.broadcast_to(np.int64(config.mean_tx_gas), times.shape)
+        else:
+            gas = np.insert(stat_gas, at, inj_gas)
         injected_map = {
             new: Transaction(new, tx.sender, tx.gas, tx.size_kb, tx.payload)
             for new, (_, _, tx) in zip((at + np.arange(len(inj))).tolist(), inj)
@@ -314,11 +322,6 @@ def build_tx_table(
         times, origins, gas = stat_times, stat_origins, stat_gas
         injected_map = {}
     return TxTable(times=times, origins=origins, gas=gas, injected=injected_map)
-
-
-class EventKind(Enum):
-    BLOCK_MINED = "mined"
-    BLOCK_RECEIVED = "received"
 
 
 # Ids examined per vectorised step of ``NodeState.fill``.
@@ -344,7 +347,8 @@ class NodeState:
 
     * ``in_chain`` holds one flag per id, set while the id is on the node's
       canonical chain. Mining a block and reorganising flip a block's ids
-      with one array assignment.
+      with one array assignment: a slice for a block whose ids form one
+      range, an index array otherwise.
     * ``delivered`` holds one flag per id, set once the id has reached the
       node, at one byte per arrival: the node's own ids are set from the
       start, and ``catch_up`` sets every id below ``cut_all`` (arrived at
@@ -353,7 +357,8 @@ class NodeState:
       ids that have arrived by now; ids from it on are not read.
     * ``fill`` takes the ids below ``cut_own`` that are delivered and not in
       the chain, in id (arrival) order, and stops at the first one that
-      does not fit.
+      does not fit. A zero-stride gas column (one value for every id) is
+      filled by count; any other by a prefix sum.
 
     So the pool is delivered minus on-chain by construction: when a reorg
     abandons a block, its ids return to every node that had them delivered.
@@ -398,11 +403,17 @@ class NodeState:
             self.cut_all = cut_all
         self.cut_own = max(self.cut_own, int(times.searchsorted(now, "right")))
 
-    def set_in_chain(self, tx_ids: np.ndarray | Sequence[int], flag: bool) -> None:
-        """Flag ``tx_ids``, which must be ascending, as on (true) or off
-        (false) the node's canonical chain."""
+    def set_in_chain(self, tx_ids: slice | np.ndarray | Sequence[int], flag: bool) -> None:
+        """Flag ``tx_ids`` as on (true) or off (false) the node's canonical
+        chain: ascending ids, or a ``slice(start, stop)`` with both bounds
+        given and step 1."""
         self.in_chain[tx_ids] = flag
-        if not flag and len(tx_ids):
+        if flag:
+            return
+        if type(tx_ids) is slice:
+            if tx_ids.start < tx_ids.stop:
+                self.low = min(self.low, tx_ids.start)
+        elif len(tx_ids):
             self.low = min(self.low, int(tx_ids[0]))
 
     def fill(self, gas: np.ndarray, gas_limit: int) -> tuple[np.ndarray, int]:
@@ -411,6 +422,9 @@ class NodeState:
         itself is not changed."""
         delivered, in_chain = self.delivered, self.in_chain
         cut_all, end = self.cut_all, self.cut_own
+        # One gas value for every id: a chunk's first k ids fit exactly
+        # when k of them do, so no prefix sum is needed.
+        unit = int(gas[0]) if end and not gas.strides[0] else 0
         taken: list[np.ndarray] = []
         total = 0
         start = self.low
@@ -421,12 +435,15 @@ class NodeState:
                 # Ids before the first free one are in the chain. Stop at
                 # cut_all: foreign ids past it are not delivered yet.
                 self.low = min(int(ids[0]) if len(ids) else stop, cut_all)
-            cum = gas[ids].cumsum()
-            k = int(cum.searchsorted(gas_limit - total, "right"))
+            if unit:
+                k = min(len(ids), (gas_limit - total) // unit)
+            else:
+                cum = gas[ids].cumsum()
+                k = int(cum.searchsorted(gas_limit - total, "right"))
             if k:
                 # A copy, so that the block does not keep the chunk alive.
                 taken.append(ids if k == len(ids) else ids[:k].copy())
-                total += int(cum[k - 1])
+                total += k * unit if unit else int(cum[k - 1])
             if k < len(ids):
                 break
             start = stop
@@ -485,8 +502,9 @@ class Simulation:
         # Per sender: (delay, receiver) for every other node, in index order.
         self.links = [[(config.delay(src, dst), dst) for dst in range(config.num_nodes)
                        if dst != src] for src in range(config.num_nodes)]
-        # Block id -> the block's transaction ids as an index array.
-        self.tx_arrays: dict[str, np.ndarray] = {}
+        # Block id -> the block's transaction ids for ``set_in_chain``: a
+        # slice when they form one range, an index array otherwise.
+        self.tx_arrays: dict[str, slice | np.ndarray] = {}
         # Injected ids in ascending order, for the range lookup per block.
         self.injected_ids = sorted(self.table.injected)
         # Unused standard exponentials for ``_solve_time``, last one next.
@@ -503,11 +521,9 @@ class Simulation:
         if trace is not None:
             trace.write(TRACE_HEADER + "\n")
 
-    def _push(self, time: float, kind: EventKind, target: int | tuple[int, ...],
-              block: Block | None = None, epoch: int = 0) -> None:
-        """Queue the delivery of ``block`` to the receivers ``target``; the
-        heap holds deliveries only, so ``kind`` and ``epoch`` are not kept."""
-        heapq.heappush(self.events, (time, next(self._sequence), target, block))
+    def _push(self, time: float, receivers: tuple[int, ...], block: Block) -> None:
+        """Queue the delivery of ``block`` to ``receivers`` at ``time``."""
+        heapq.heappush(self.events, (time, next(self._sequence), receivers, block))
 
     def _trace(self, time: float, kind: str, node: int, block: Block) -> None:
         """Write one trace row; callers check that a trace is open."""
@@ -577,22 +593,25 @@ class Simulation:
         id_array, gas_used = node.fill(self.table.gas, self.config.block_gas_limit)
         # ``fill`` gives ascending unique ids, so they form one range exactly
         # when their span equals their count; a range is digested without
-        # formatting each id.
+        # formatting each id, and its flags are flipped by slice.
         n = len(id_array)
         if n and int(id_array[-1]) - int(id_array[0]) + 1 == n:
-            tx_ids = range(int(id_array[0]), int(id_array[-1]) + 1)
+            first = int(id_array[0])
+            tx_ids = range(first, first + n)
+            claim = slice(first, first + n)
         else:
             tx_ids = tuple(id_array.tolist())
+            claim = id_array
         block = assemble_block(parent.number + 1, parent.block_id, node.index, difficulty,
                                timestamp, uncles, tx_ids, gas_used, self._injected_in(tx_ids))
         if not validate_header(self.params, tree, block.header):
             # Simulator nodes are honest; a failure here is a bug.
             raise AssertionError(f"invalid header mined: {block.block_id}")
-        self.tx_arrays[block.block_id] = id_array
+        self.tx_arrays[block.block_id] = claim
         tree.insert_block(block)
         node.known.add(block.block_id)
         node.head_block = block
-        node.set_in_chain(id_array, True)
+        node.set_in_chain(claim, True)
         if self.trace is not None:
             self._trace(now, "mined", node.index, block)
         self._broadcast(block, node.index, now)
@@ -611,7 +630,7 @@ class Simulation:
         for delay, receiver in self.links[sender]:
             arrivals.setdefault(now + delay, []).append(receiver)
         for time, receivers in arrivals.items():
-            self._push(time, EventKind.BLOCK_RECEIVED, tuple(receivers), block)
+            self._push(time, tuple(receivers), block)
 
     def on_block_received(self, node_index: int, block: Block, now: float) -> None:
         """Take a delivered block, then reorganise if it is strictly heavier

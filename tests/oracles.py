@@ -30,7 +30,7 @@ from gridchain.consensus import (
     validate_header,
 )
 from gridchain.meter import MeterRecord, SymmetricKey, field_counter
-from gridchain.netsim import EventKind, NodeState, SimConfig, Simulation, TxTable, build_tx_table
+from gridchain.netsim import NodeState, SimConfig, Simulation, TxTable, build_tx_table
 
 
 def generate_tx_arrivals(
@@ -203,8 +203,7 @@ class PerReceiverSimulation(Simulation):
     def _broadcast(self, block: Block, sender: int, now: float) -> None:
         for dst in range(self.config.num_nodes):
             if dst != sender:
-                self._push(now + self.config.delay(sender, dst), EventKind.BLOCK_RECEIVED,
-                           (dst,), block)
+                self._push(now + self.config.delay(sender, dst), (dst,), block)
 
     def on_block_received(self, node_index: int, block: Block, now: float) -> None:
         node = self.nodes[node_index]
@@ -223,16 +222,21 @@ class PerReceiverSimulation(Simulation):
 
 
 class HeapMiningSimulation(Simulation):
-    """The simulator with every mining draw pushed on the event heap as
-    (time, sequence, kind, target, block, epoch). A popped draw is dropped
-    when a later draw has moved its node's epoch on, or when it lands after
-    the end; ``late_draws`` counts the live ones dropped for the end. Every
-    reorg walks both branches down to their common ancestor."""
+    """The simulator with every mining draw pushed on the event heap beside
+    the deliveries, as (time, sequence, receivers, block, epoch): a draw
+    has the mining node as ``receivers``, no block and its epoch. A popped
+    draw is dropped when a later draw has moved its node's epoch on, or
+    when it lands after the end; ``late_draws`` counts the live ones
+    dropped for the end. Every reorg walks both branches down to their
+    common ancestor."""
 
     late_draws = 0
 
-    def _push(self, time, kind, target, block=None, epoch=0):
-        heapq.heappush(self.events, (time, next(self._sequence), kind, target, block, epoch))
+    def _push(self, time, receivers, block):
+        heapq.heappush(self.events, (time, next(self._sequence), receivers, block, 0))
+
+    def _push_draw(self, time, node_index, epoch):
+        heapq.heappush(self.events, (time, next(self._sequence), node_index, None, epoch))
 
     def _schedule_mining(self, node: NodeState, now: float) -> None:
         if now >= self.config.sim_duration:
@@ -242,13 +246,13 @@ class HeapMiningSimulation(Simulation):
         difficulty = compute_difficulty(self.params, head, head.number + 1,
                                         max(head.timestamp + 1, int(now))).result
         dt = self._solve_time(difficulty / self.hashrates[node.index])
-        self._push(now + dt, EventKind.BLOCK_MINED, node.index, epoch=node.epoch)
+        self._push_draw(now + dt, node.index, node.epoch)
 
     def _process_events(self) -> None:
         events = self.events
         while events:
-            time, _, kind, target, block, epoch = heapq.heappop(events)
-            if kind is EventKind.BLOCK_MINED:
+            time, _, target, block, epoch = heapq.heappop(events)
+            if block is None:
                 if epoch != self.nodes[target].epoch:
                     continue
                 if time > self.config.sim_duration:

@@ -10,17 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridchain import netsim
-from gridchain.chain import TX_SIZE_KB, BlockTree, Transaction, make_block
+from gridchain.chain import TX_SIZE_KB, BlockTree, Transaction, make_block, make_genesis
 from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head, validate_header
 from gridchain.contract import CallKind, ContractCall, dump_state, replay_chain
 from gridchain.metrics import ChainTooShort
 from gridchain.netsim import (
-    EventKind,
     InvalidConfig,
     NodeState,
     SimConfig,
     Simulation,
     TRACE_HEADER,
+    TxTable,
     build_tx_table,
     default_initial_difficulty,
     estimate_equilibrium_interval,
@@ -364,9 +364,10 @@ class TestPool:
     @given(
         seed=st.integers(0, 2**32 - 1),
         num_nodes=st.integers(1, 4),
-        tx_rate=st.floats(1.0, 40.0),
+        tx_rate=st.just(0.0) | st.floats(1.0, 40.0),
         delay=st.floats(0.0, 3.0),
         gas_range=st.tuples(st.integers(1_000, 60_000), st.integers(0, 60_000)),
+        one_value=st.booleans(),
         gas_limit=st.integers(45_000, 600_000),
         steps=st.lists(
             st.tuples(st.floats(0.0, 10.0), st.sets(st.integers(0, 400), max_size=40),
@@ -376,16 +377,21 @@ class TestPool:
         data=st.data(),
     )
     def test_fill_matches_object_level_oracle(self, seed, num_nodes, tx_rate, delay,
-                                              gas_range, gas_limit, steps, chunk, data):
+                                              gas_range, one_value, gas_limit, steps, chunk,
+                                              data):
         lo, span = gas_range
 
         def sampler(rng, n):
             return rng.integers(lo, lo + span + 1, size=n)
 
+        # Without a sampler every id carries ``lo``: a zero-stride column,
+        # filled by count.
         config = SimConfig(num_nodes=num_nodes, hash_shares=None, tx_rate=tx_rate,
                            propagation_delay=delay, sim_duration=40.0, seed=seed,
-                           tx_gas_sampler=sampler)
+                           mean_tx_gas=lo, tx_gas_sampler=None if one_value else sampler)
         sim = Simulation(config, 0)
+        column = sim.table.gas
+        assert (column.strides == (0,)) == (one_value or not sim.table.count)
         node = sim.nodes[data.draw(st.integers(0, num_nodes - 1))]
         stream = list(generate_tx_arrivals(config, np.random.default_rng([seed, 0])))
         own = node_address(node.index)
@@ -404,14 +410,41 @@ class TestPool:
                     and tx.tx_id not in on_chain]
             expected = fill_block(pool, gas_limit)
             with mock.patch.object(netsim, "FILL_CHUNK", chunk):
-                ids, gas_used = node.fill(sim.table.gas, gas_limit)
+                ids, gas_used = node.fill(column, gas_limit)
+                dense_ids, dense_gas_used = node.fill(np.array(column), gas_limit)
             assert ids.dtype == np.intp
             assert ids.tolist() == [tx.tx_id for tx in expected]
             assert gas_used == sum(tx.gas for tx in expected)
+            assert dense_ids.tolist() == ids.tolist() and dense_gas_used == gas_used
             assert pending_ids(node) == {tx.tx_id for tx in pool}
             if mine:  # the filled block joins the chain
                 node.set_in_chain(ids, 1)
                 on_chain.update(ids.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.integers(0, 60),
+        data=st.data(),
+    )
+    def test_a_slice_flips_flags_as_its_index_array_does(self, size, data):
+        table = TxTable(times=np.arange(size, dtype=np.float64),
+                        origins=np.zeros(size, dtype=np.int64),
+                        gas=np.broadcast_to(np.int64(45_000), (size,)), injected={})
+        tree = BlockTree(make_genesis(MIN_DIFFICULTY))
+        by_slice, by_array = NodeState(0, tree, table), NodeState(0, tree, table)
+        flags = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                         dtype=np.bool_)
+        low = data.draw(st.integers(0, size))
+        for node in (by_slice, by_array):
+            node.in_chain[:] = flags
+            node.low = low
+        bound = st.integers(0, size)
+        for a, b, flag in data.draw(st.lists(st.tuples(bound, bound, st.booleans()),
+                                             min_size=1, max_size=6)):
+            by_slice.set_in_chain(slice(a, b), flag)
+            by_array.set_in_chain(np.arange(a, b), flag)
+            assert np.array_equal(by_slice.in_chain, by_array.in_chain)
+            assert by_slice.low == by_array.low
 
 
 class TestEquilibriumCalibration:
@@ -780,10 +813,10 @@ class TestDelivery:
         delivered = []
 
         class Recording(Simulation):
-            def _push(self, time, kind, target, block=None, epoch=0):
-                if kind is EventKind.BLOCK_RECEIVED and block.header.miner == 0:
-                    delivered.append(target)
-                super()._push(time, kind, target, block, epoch)
+            def _push(self, time, receivers, block):
+                if block.header.miner == 0:
+                    delivered.append(receivers)
+                super()._push(time, receivers, block)
 
         Recording(config, 0).run()
         assert delivered and set(delivered) == {(1, 2, 3)}
@@ -1087,6 +1120,63 @@ class TestInjectedTransactions:
         source = {item[2].payload: item[2] for item in injected}
         for new, renumbered in got.injected.items():
             assert renumbered == dataclasses.replace(source[renumbered.payload], tx_id=new)
+
+
+class TestUniformGas:
+    """A gas column that holds one value stays a zero-stride view, is filled
+    by count, and gives what the same values materialised give."""
+
+    @staticmethod
+    def fixed_gas(rng, n):
+        return np.full(n, 45_000)  # draws nothing from ``rng``
+
+    @pytest.mark.parametrize("lambda_, records, claim", [
+        (1, 0, np.ndarray),  # blocks mostly take scattered ids
+        (3, 0, slice),       # a saturated pool: blocks mostly take one range
+        (3, 60, slice),
+    ])
+    def test_count_fill_matches_prefix_sum_fill(self, lambda_, records, claim):
+        owner = addr("owner")
+        injected = [(0.5 + 5.0 * k, k % 3, Transaction(0, owner, 45_000, TX_SIZE_KB))
+                    for k in range(records)]
+        config = SimConfig(lambda_=lambda_, sim_duration=300.0, warmup_blocks=10, seed=7)
+        by_count = Simulation(config, 0, injected, trace=io.StringIO())
+        by_prefix = Simulation(dataclasses.replace(config, tx_gas_sampler=self.fixed_gas), 0,
+                               injected, trace=io.StringIO())
+        assert by_count.table.gas.strides == (0,)
+        assert by_prefix.table.gas.strides != (0,)
+        assert _run_outcome(by_count) == _run_outcome(by_prefix)
+        kinds = [type(ids) for ids in by_count.tx_arrays.values()]
+        assert kinds.count(claim) > len(kinds) / 2
+        assert len(by_count.table.injected) == records
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.sampled_from([0.0, 0.3, 4.0]),
+        sampled=st.booleans(),
+        data=st.data(),
+    )
+    def test_column_stays_one_value_through_a_matching_injection(self, seed, rate, sampled,
+                                                                  data):
+        mean = 45_000
+        config = small_config(tx_rate=rate, sim_duration=20.0, mean_tx_gas=mean,
+                              tx_gas_sampler=self.fixed_gas if sampled else None)
+        generated = build_tx_table(config, np.random.default_rng(seed))
+        drawn = data.draw(st.lists(
+            st.tuples(st.floats(0.0, 2 * config.sim_duration), st.sampled_from([mean, 21_000])),
+            max_size=8,
+        ))
+        injected = [(t, k % 3, tx(k, gas=gas)) for k, (t, gas) in enumerate(drawn)]
+        table = build_tx_table(config, np.random.default_rng(seed), injected)
+        # The column's values as one np.insert of the injected gas would give.
+        inj = sorted(injected, key=lambda item: item[0])
+        at = generated.times.searchsorted([item[0] for item in inj], "right")
+        inserted = np.insert(generated.gas, at, [item[2].gas for item in inj])
+        one_value = not (sampled and generated.count) and all(g == mean for _, g in drawn)
+        assert (table.gas.strides == (0,)) == one_value
+        assert table.gas.dtype == inserted.dtype
+        assert np.array_equal(table.gas, inserted)
 
 
 class TestRunMany:
