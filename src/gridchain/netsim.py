@@ -661,34 +661,24 @@ class Simulation:
             self.on_block_received(node_index, child, now)
 
     def _reorg(self, node: NodeState, new_head: Block, now: float) -> None:
-        """Move the node's canonical state from the old head to ``new_head``:
-        abandoned blocks return their transactions to the pool, adopted
-        blocks claim theirs, and mining restarts on the new head."""
-        tx_arrays = self.tx_arrays
-        old = node.head_block.header
-        new = new_head.header
-        if new.parent_id == old.block_id:
-            # One block on top of the old head: nothing is abandoned.
-            node.set_in_chain(tx_arrays[new.block_id], True)
-        else:
-            blocks = self.tree.blocks
-            removed: list[str] = []
-            added: list[str] = []
-            while old.number > new.number:
-                removed.append(old.block_id)
+        """Move the node's canonical state from the old head to ``new_head``
+        in one walk to their common ancestor, stepping the higher tip (the
+        new one on a tie): an abandoned block returns its transactions to
+        the pool as the walk leaves it, and the adopted blocks claim theirs
+        after the walk, where no clear can undo a claim. Mining restarts on
+        the new head."""
+        blocks, tx_arrays = self.tree.blocks, self.tx_arrays
+        old, new = node.head_block.header, new_head.header
+        added: list[str] = []
+        while old.block_id != new.block_id:
+            if old.number > new.number:
+                node.set_in_chain(tx_arrays[old.block_id], False)
                 old = blocks[old.parent_id].header
-            while new.number > old.number:
+            else:
                 added.append(new.block_id)
                 new = blocks[new.parent_id].header
-            while old.block_id != new.block_id:
-                removed.append(old.block_id)
-                old = blocks[old.parent_id].header
-                added.append(new.block_id)
-                new = blocks[new.parent_id].header
-            for bid in removed:
-                node.set_in_chain(tx_arrays[bid], False)
-            for bid in added:
-                node.set_in_chain(tx_arrays[bid], True)
+        for bid in added:
+            node.set_in_chain(tx_arrays[bid], True)
         node.head_block = new_head
         self._schedule_mining(node, now)
 
@@ -707,7 +697,6 @@ class Simulation:
             if len(node.known) != len(tree):
                 raise AssertionError(f"node {node.index} holds {len(node.known)} "
                                      f"of {len(tree)} blocks after the last delivery")
-            node.catch_up(math.inf, self.config.propagation_delay)
             if best != node.head_block.block_id:
                 self._reorg(node, tree.blocks[best], self.config.sim_duration)
 
@@ -745,8 +734,8 @@ class Simulation:
         if chain_tx != confirmed_total:
             raise AssertionError("a transaction appears twice on the canonical chain")
         generated = self.table.count
-        # ``_settle`` delivered every transaction to node 0, so none is left
-        # only on a stale block: the uncle-only term is zero.
+        # Every generated id off node 0's chain counts as pending, delivered
+        # or not, so none is left only on a stale block: uncle-only is zero.
         stats = compute_run_stats(
             self.tree,
             head0,
@@ -789,6 +778,8 @@ def run_many(config: SimConfig, workers: int = 1) -> list[RunStats]:
     """
     config.validate()
     jobs = [(config, i) for i in range(config.num_runs)]
+    # A fork-started pool starts all its processes at the first submit.
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [_stats_worker(job) for job in jobs]
     # Imported here so that a serial run never loads the process pool.

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import dataclasses
 import io
@@ -1191,3 +1192,28 @@ class TestRunMany:
         stats = run_many(config, workers=1)
         singles = [run_simulation(config, i).stats for i in range(4)]
         assert stats == singles
+
+    def test_pool_never_larger_than_the_runs(self, monkeypatch):
+        # A fake pool that records its size and maps serially: no process starts.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        config = small_config(sim_duration=60.0, num_runs=3)
+        assert run_many(config, workers=8) == run_many(config, workers=1)
+        assert sizes == [3]
+        one = small_config(sim_duration=60.0, num_runs=1)
+        assert run_many(one, workers=4) == [run_simulation(one, 0).stats]
+        assert sizes == [3]
