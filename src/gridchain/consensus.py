@@ -84,33 +84,55 @@ def compute_difficulty(
     parent: BlockHeader | None,
     block_number: int,
     timestamp: int,
-) -> DifficultyTrace:
-    """Evaluate the difficulty of a block given its parent header.
+) -> int:
+    """The difficulty of a block given its parent header.
 
-    For ``block_number == 0`` the result is ``MIN_DIFFICULTY`` and
-    the intermediates are zeroed (``y = 1`` by convention).
+    For ``block_number == 0`` the result is ``MIN_DIFFICULTY``.
 
-    The simulator evaluates this for every mining draw, so both clamps are
-    comparisons and ``bomb_term`` is called only from ``BOMB_START`` on.
+    The simulator evaluates this for every mining draw, mined block and
+    header check, so it returns the plain int, both clamps are comparisons
+    and ``bomb_term`` is called only from ``BOMB_START`` on.
+    ``difficulty_trace`` gives the intermediates.
     """
     if block_number == 0:
-        return DifficultyTrace(0, 0, 1, 0, 0, MIN_DIFFICULTY)
+        return MIN_DIFFICULTY
     if parent is None:
         raise ValueError("non-genesis difficulty needs the parent header")
     if timestamp <= parent.timestamp:
         raise NonMonotonicTimestamp(
             f"timestamp {timestamp} <= parent timestamp {parent.timestamp}"
         )
-    t = timestamp - parent.timestamp
-    x = parent.difficulty // DIFFICULTY_DIVISOR
-    y = 1 if not parent.uncle_ids else 2
-    zeta = y - t // params.lambda_
+    # zeta = y - t // lambda_ and result = D + x * zeta + epsilon, with the
+    # terms named as in ``DifficultyTrace``.
+    zeta = (1 if not parent.uncle_ids else 2) - (timestamp - parent.timestamp) // params.lambda_
     if zeta < ZETA_FLOOR:
         zeta = ZETA_FLOOR
-    epsilon = bomb_term(block_number) if block_number >= BOMB_START else 0
-    result = parent.difficulty + x * zeta + epsilon
-    return DifficultyTrace(t, x, y, zeta, epsilon,
-                           result if result > MIN_DIFFICULTY else MIN_DIFFICULTY)
+    result = parent.difficulty + parent.difficulty // DIFFICULTY_DIVISOR * zeta
+    if block_number >= BOMB_START:
+        result += bomb_term(block_number)
+    return result if result > MIN_DIFFICULTY else MIN_DIFFICULTY
+
+
+def difficulty_trace(
+    params: DifficultyParams,
+    parent: BlockHeader | None,
+    block_number: int,
+    timestamp: int,
+) -> DifficultyTrace:
+    """``compute_difficulty`` with its intermediates kept inspectable.
+
+    The result is ``compute_difficulty``'s, which also makes the checks; the
+    other fields restate the rule's terms beside it. For ``block_number == 0`` they are
+    zeroed (``y = 1`` by convention).
+    """
+    result = compute_difficulty(params, parent, block_number, timestamp)
+    if block_number == 0:
+        return DifficultyTrace(0, 0, 1, 0, 0, result)
+    t = timestamp - parent.timestamp
+    y = 1 if not parent.uncle_ids else 2
+    return DifficultyTrace(t, parent.difficulty // DIFFICULTY_DIVISOR, y,
+                           max(y - t // params.lambda_, ZETA_FLOOR),
+                           bomb_term(block_number), result)
 
 
 def fork_choice_head(tree: BlockTree) -> str:
@@ -213,8 +235,7 @@ def validate_header(params: DifficultyParams, tree: BlockTree, header: BlockHead
         return False
     if header.timestamp <= parent.timestamp:
         return False
-    trace = compute_difficulty(params, parent, header.number, header.timestamp)
-    if header.difficulty != trace.result:
+    if header.difficulty != compute_difficulty(params, parent, header.number, header.timestamp):
         return False
     if len(header.uncle_ids) > MAX_UNCLES_PER_BLOCK:
         return False

@@ -41,6 +41,10 @@ class Untrusted(ContractError):
     """Caller is not on the trust list."""
 
 
+class MalformedCall(ContractError):
+    """A call lacks a field its kind needs."""
+
+
 class CallKind(Enum):
     DEPLOY = "deploy"
     ADD_ACC = "add_acc"
@@ -154,22 +158,24 @@ class ReplayedState(ContractState):
 
 
 def apply_call(state: ContractState, sender: Address, call: ContractCall) -> None:
-    """Apply one call to ``state``; raises the matching ContractError."""
+    """Apply one call to ``state``; raises the matching ContractError,
+    ``MalformedCall`` for a call that lacks a field its kind needs."""
     if call.kind is CallKind.DEPLOY:
         if state.deployed:
             raise AlreadyDeployed("contract already deployed")
         state.trusted_acc[sender] = True
         state.init_addr = sender
     elif call.kind is CallKind.ADD_ACC:
-        assert call.addr is not None
+        if call.addr is None:
+            raise MalformedCall("add_acc needs addr")
         state.add_acc(sender, call.addr)
     elif call.kind is CallKind.RM_ACC:
-        assert call.addr is not None
+        if call.addr is None:
+            raise MalformedCall("rm_acc needs addr")
         state.rm_acc(sender, call.addr)
     elif call.kind is CallKind.NEW_RECO:
-        assert call.record_id is not None
-        assert call.record_time is not None
-        assert call.record_value is not None
+        if call.record_id is None or call.record_time is None or call.record_value is None:
+            raise MalformedCall("new_reco needs record_id, record_time and record_value")
         state.new_reco(sender, call.record_id, call.record_time, call.record_value)
     else:  # pragma: no cover
         raise ContractError(f"unknown call kind {call.kind}")

@@ -558,7 +558,7 @@ class Simulation:
         node.epoch += 1
         head = node.head_block.header
         difficulty = compute_difficulty(self.params, head, head.number + 1,
-                                        max(head.timestamp + 1, int(now))).result
+                                        max(head.timestamp + 1, int(now)))
         time = now + self._solve_time(difficulty / self.hashrates[node.index])
         self.timers[node.index] = (
             (time, next(self._sequence), node.index) if time <= duration else IDLE)
@@ -587,7 +587,7 @@ class Simulation:
         tree = self.tree
         parent = node.head_block.header
         timestamp = max(parent.timestamp + 1, int(now))
-        difficulty = compute_difficulty(self.params, parent, parent.number + 1, timestamp).result
+        difficulty = compute_difficulty(self.params, parent, parent.number + 1, timestamp)
         uncles = eligible_uncles(tree, parent.block_id, node.known)
         node.catch_up(now, self.config.propagation_delay)
         id_array, gas_used = node.fill(self.table.gas, self.config.block_gas_limit)

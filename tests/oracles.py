@@ -244,7 +244,7 @@ class HeapMiningSimulation(Simulation):
         node.epoch += 1
         head = node.head_block.header
         difficulty = compute_difficulty(self.params, head, head.number + 1,
-                                        max(head.timestamp + 1, int(now))).result
+                                        max(head.timestamp + 1, int(now)))
         dt = self._solve_time(difficulty / self.hashrates[node.index])
         self._push_draw(now + dt, node.index, node.epoch)
 

@@ -115,7 +115,7 @@ def _rule(lam, parent_d, parent_uncles, number, interval):
         uncle_ids=tuple("u" * (k + 1) for k in range(parent_uncles)), gas_used=0,
     )
     params = DifficultyParams(lambda_=lam)
-    return compute_difficulty(params, parent, number, 10_000 + interval).result
+    return compute_difficulty(params, parent, number, 10_000 + interval)
 
 
 def test_criterion_1_difficulty_recurrence_exactness():
@@ -136,7 +136,7 @@ def test_criterion_1_difficulty_recurrence_exactness():
     mismatches = []
     for lam, pd, pu, num, t in cases:
         if num == 0:
-            got = compute_difficulty(DifficultyParams(lambda_=lam), None, 0, 0).result
+            got = compute_difficulty(DifficultyParams(lambda_=lam), None, 0, 0)
         else:
             got = _rule(lam, pd, pu, num, t)
         want = _difficulty_oracle(lam, pd, pu, num, t)

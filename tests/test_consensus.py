@@ -15,10 +15,14 @@ from gridchain.chain import (
     make_genesis,
 )
 from gridchain.consensus import (
+    DIFFICULTY_DIVISOR,
     MAX_UNCLE_GENERATIONS,
+    MIN_DIFFICULTY,
+    ZETA_FLOOR,
     DifficultyParams,
     NonMonotonicTimestamp,
     compute_difficulty,
+    difficulty_trace,
     eligible_uncles,
     fork_choice_head,
     validate_header,
@@ -55,12 +59,12 @@ def header(difficulty, timestamp, uncles=0, number=1):
 def run_rule(lam, parent_d, parent_uncles, number, interval):
     params = DifficultyParams(lambda_=lam)
     parent = header(parent_d, 1000, uncles=parent_uncles, number=number - 1)
-    return compute_difficulty(params, parent, number, 1000 + interval)
+    return difficulty_trace(params, parent, number, 1000 + interval)
 
 
 class TestComputeDifficulty:
     def test_genesis_is_base_difficulty(self):
-        trace = compute_difficulty(DifficultyParams(lambda_=3), None, 0, 0)
+        trace = difficulty_trace(DifficultyParams(lambda_=3), None, 0, 0)
         assert trace.result == 131072
         assert (trace.t, trace.x, trace.y, trace.zeta, trace.epsilon) == (0, 0, 1, 0, 0)
 
@@ -174,6 +178,40 @@ class TestComputeDifficulty:
         results = [run_rule(lam, pd, pu, 10, t).result for t in range(1, 40 * lam, max(1, lam))]
         assert all(a >= b for a, b in zip(results, results[1:]))
         assert all(r >= lower for r in results)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lam=st.integers(min_value=1, max_value=16),
+        pd=st.integers(min_value=MIN_DIFFICULTY, max_value=10**12),
+        pu=st.integers(min_value=0, max_value=2),
+        number=st.integers(min_value=1, max_value=6_500_000),
+        t=st.integers(min_value=1, max_value=50_000),
+        case=st.sampled_from(["valid", "no parent", "not after parent"]),
+    )
+    def test_trace_restates_the_int_rule(self, lam, pd, pu, number, t, case):
+        # compute_difficulty returns the plain int; difficulty_trace returns
+        # the same result, and its own fields rebuild it. On a bad input both
+        # raise the same exception.
+        params = DifficultyParams(lambda_=lam)
+        parent = None if case == "no parent" else header(pd, 1000, uncles=pu, number=number - 1)
+        timestamp = 1000 + t if case == "valid" else 1001 - t
+
+        def outcome(rule):
+            try:
+                return rule(params, parent, number, timestamp)
+            except Exception as exc:
+                return type(exc)
+
+        value, trace = outcome(compute_difficulty), outcome(difficulty_trace)
+        if case != "valid":
+            expected = ValueError if parent is None else NonMonotonicTimestamp
+            assert value is expected and trace is expected
+            return
+        assert type(value) is int
+        assert trace.result == value
+        assert trace.x == pd // DIFFICULTY_DIVISOR
+        assert trace.zeta == max(trace.y - trace.t // lam, ZETA_FLOOR)
+        assert trace.result == max(MIN_DIFFICULTY, pd + trace.x * trace.zeta + trace.epsilon)
 
     def test_lambda9_matches_fixed_divisor_formula(self):
         # The tunable rule at lambda=9 must be bit-identical to the
@@ -425,7 +463,7 @@ class TestValidateHeader:
     def make_valid_child(self, tree, parent, ts_gap=4):
         params = self.params()
         ts = parent.header.timestamp + ts_gap
-        trace = compute_difficulty(params, parent.header, parent.number + 1, ts)
+        trace = difficulty_trace(params, parent.header, parent.number + 1, ts)
         return make_block(
             number=parent.number + 1,
             parent_id=parent.block_id,

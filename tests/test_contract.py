@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gridchain.chain import make_genesis, BlockTree
@@ -6,6 +11,7 @@ from gridchain.contract import (
     CallKind,
     ContractCall,
     ContractState,
+    MalformedCall,
     NotOwner,
     OwnerIrremovable,
     Untrusted,
@@ -151,6 +157,51 @@ def test_replay_calls_before_deploy_fail():
     assert state.total_of_reco == 0
     assert state.failed_calls == 2  # pre-deploy call and the second deploy
     assert state.init_addr == OWNER
+
+
+def malformed_replay_summary():
+    """Replay DEPLOY, an ADD_ACC without ``addr`` and a NEW_RECO with only
+    ``record_id``, all from the owner: (applied, failed, failures by sender
+    as hex, records, state dump)."""
+    calls = [
+        (OWNER, ContractCall(CallKind.DEPLOY)),
+        (OWNER, ContractCall(CallKind.ADD_ACC)),
+        (OWNER, ContractCall(CallKind.NEW_RECO, record_id=b"i")),
+    ]
+    state = replay_chain(_chain_with_calls(calls))
+    return (state.applied_calls, state.failed_calls,
+            {a.hex(): n for a, n in state.failures_by_sender.items()},
+            state.total_of_reco, dump_state(state))
+
+
+def test_malformed_calls_are_counted_not_raised():
+    applied, failed, by_sender, records, _ = malformed_replay_summary()
+    assert (applied, failed, records) == (1, 2, 0)
+    assert by_sender == {OWNER.hex(): 2}
+
+
+def test_malformed_calls_raise_malformed_call():
+    state = ContractState.deploy(OWNER)
+    for call in (ContractCall(CallKind.ADD_ACC), ContractCall(CallKind.RM_ACC),
+                 ContractCall(CallKind.NEW_RECO, record_id=b"i", record_time=b"t")):
+        with pytest.raises(MalformedCall):
+            apply_call(state, OWNER, call)
+    assert state.total_of_reco == 0
+    assert state.trusted_acc == {OWNER: True}
+
+
+def test_malformed_calls_counted_under_optimize_flag():
+    """``python -O`` strips asserts, so the field checks must not be asserts:
+    the replay must read the same there as here."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    code = ("import sys, test_contract as t; "
+            "print(sys.flags.optimize); print(repr(t.malformed_replay_summary()))")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    optimize, summary = out.splitlines()
+    assert optimize == "1"
+    assert summary == repr(malformed_replay_summary())
 
 
 def test_second_deploy_raises_via_apply_call():
