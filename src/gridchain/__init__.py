@@ -12,9 +12,7 @@ from .chain import (
 )
 from .consensus import (
     DifficultyParams,
-    DifficultyTrace,
     compute_difficulty,
-    difficulty_trace,
     eligible_uncles,
     fork_choice_head,
     validate_header,
@@ -54,9 +52,7 @@ __all__ = [
     "make_block",
     "make_genesis",
     "DifficultyParams",
-    "DifficultyTrace",
     "compute_difficulty",
-    "difficulty_trace",
     "eligible_uncles",
     "fork_choice_head",
     "validate_header",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Container
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .chain import LINEAGE_ANCESTORS, BlockHeader, BlockTree, UnknownBlock, UnknownParent
 
@@ -59,26 +58,6 @@ class DifficultyParams:
             raise ValueError("lambda_ must be >= 1 second")
 
 
-class DifficultyTrace(NamedTuple):
-    """One difficulty evaluation with all intermediates kept inspectable."""
-
-    t: int          # block interval in seconds
-    x: int          # parent_difficulty // DIFFICULTY_DIVISOR
-    y: int          # 1 if the parent has no uncles else 2
-    zeta: int       # max(y - t // lambda_, ZETA_FLOOR)
-    epsilon: int    # exponential bomb term (0 below the offset height)
-    result: int
-
-
-def bomb_term(block_number: int) -> int:
-    """floor(2 ** (max(number - BOMB_OFFSET, 0) // BOMB_PERIOD - 2)), exactly.
-
-    Exact integer arithmetic: any negative exponent floors to zero.
-    """
-    exponent = max(block_number - BOMB_OFFSET, 0) // BOMB_PERIOD - 2
-    return 2**exponent if exponent >= 0 else 0
-
-
 def compute_difficulty(
     params: DifficultyParams,
     parent: BlockHeader | None,
@@ -87,12 +66,15 @@ def compute_difficulty(
 ) -> int:
     """The difficulty of a block given its parent header.
 
-    For ``block_number == 0`` the result is ``MIN_DIFFICULTY``.
+    For ``block_number == 0`` the result is ``MIN_DIFFICULTY``. Otherwise,
+    with D the parent's difficulty, t the block interval in seconds,
+    x = D // DIFFICULTY_DIVISOR, y = 1 if the parent has no uncles else 2,
+    zeta = max(y - t // lambda_, ZETA_FLOOR) and epsilon the bomb term
+    2 ** ((block_number - BOMB_OFFSET) // BOMB_PERIOD - 2) (0 below
+    ``BOMB_START``), it is max(MIN_DIFFICULTY, D + x * zeta + epsilon).
 
     The simulator evaluates this for every mining draw, mined block and
-    header check, so it returns the plain int, both clamps are comparisons
-    and ``bomb_term`` is called only from ``BOMB_START`` on.
-    ``difficulty_trace`` gives the intermediates.
+    header check, so both clamps are comparisons.
     """
     if block_number == 0:
         return MIN_DIFFICULTY
@@ -102,37 +84,13 @@ def compute_difficulty(
         raise NonMonotonicTimestamp(
             f"timestamp {timestamp} <= parent timestamp {parent.timestamp}"
         )
-    # zeta = y - t // lambda_ and result = D + x * zeta + epsilon, with the
-    # terms named as in ``DifficultyTrace``.
     zeta = (1 if not parent.uncle_ids else 2) - (timestamp - parent.timestamp) // params.lambda_
     if zeta < ZETA_FLOOR:
         zeta = ZETA_FLOOR
     result = parent.difficulty + parent.difficulty // DIFFICULTY_DIVISOR * zeta
     if block_number >= BOMB_START:
-        result += bomb_term(block_number)
+        result += 2 ** ((block_number - BOMB_OFFSET) // BOMB_PERIOD - 2)
     return result if result > MIN_DIFFICULTY else MIN_DIFFICULTY
-
-
-def difficulty_trace(
-    params: DifficultyParams,
-    parent: BlockHeader | None,
-    block_number: int,
-    timestamp: int,
-) -> DifficultyTrace:
-    """``compute_difficulty`` with its intermediates kept inspectable.
-
-    The result is ``compute_difficulty``'s, which also makes the checks; the
-    other fields restate the rule's terms beside it. For ``block_number == 0`` they are
-    zeroed (``y = 1`` by convention).
-    """
-    result = compute_difficulty(params, parent, block_number, timestamp)
-    if block_number == 0:
-        return DifficultyTrace(0, 0, 1, 0, 0, result)
-    t = timestamp - parent.timestamp
-    y = 1 if not parent.uncle_ids else 2
-    return DifficultyTrace(t, parent.difficulty // DIFFICULTY_DIVISOR, y,
-                           max(y - t // params.lambda_, ZETA_FLOOR),
-                           bomb_term(block_number), result)
 
 
 def fork_choice_head(tree: BlockTree) -> str:

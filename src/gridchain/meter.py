@@ -250,10 +250,7 @@ def _crypt_record_fields(
         for j in range(blocks):
             counters.append(prefix + bytes((index, j >> 16, (j >> 8) & 0xFF, j & 0xFF)))
         padded.append(data.ljust(blocks * COUNTER_LEN, b"\x00"))
-    keystream = key.encrypt_blocks(b"".join(counters))
-    out = (
-        int.from_bytes(b"".join(padded), "big") ^ int.from_bytes(keystream, "big")
-    ).to_bytes(len(keystream), "big")
+    out = _xor(b"".join(padded), key.encrypt_blocks(b"".join(counters)))
     id_end = len(padded[0])
     time_end = id_end + len(padded[1])
     return (

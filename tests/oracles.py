@@ -10,7 +10,8 @@ the tuple ``repr`` block id behind the digest of an id range, one
 stable ``argsort`` over generated and injected arrivals behind the linear
 merge of injected transactions, and one heap entry per mining draw with a
 full chain walk on every reorg behind the simulator's per-node mining
-timers and its one-block extension.
+timers and its one-block extension, and a one-line evaluation of the
+difficulty rule behind ``gridchain.consensus.compute_difficulty``.
 Also the readers and writers that only tests need: a node's delivered set
 and pool, and a meter stream file."""
 
@@ -84,6 +85,16 @@ def sample_mining_time(rng: np.random.Generator, difficulty: int, node_hashrate:
     if node_hashrate <= 0:
         raise ValueError("node hashrate must be positive")
     return float(rng.exponential(difficulty / node_hashrate))
+
+
+def difficulty_oracle(lam, parent_d, parent_uncles, number, interval):
+    """Independent one-line evaluation of the difficulty update rule."""
+    if number == 0:
+        return 131072
+    exp = max(number - 5_000_000, 0) // 100_000 - 2
+    eps = 2**exp if exp >= 0 else 0
+    y = 1 if parent_uncles == 0 else 2
+    return max(131072, parent_d + (parent_d // 2048) * max(y - interval // lam, -99) + eps)
 
 
 def node_address(index: int) -> Address:

@@ -465,6 +465,12 @@ class TestConsoleEntryPoint:
                               env=env, cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
 
+    def test_every_public_name_resolves(self):
+        # A name deleted from the package but still listed in __all__ would
+        # break ``from gridchain import *``.
+        missing = [name for name in gridchain.__all__ if not hasattr(gridchain, name)]
+        assert not missing, missing
+
 
 class TestWarmupNote:
     """A run too short for the configured warm-up gets a note on standard

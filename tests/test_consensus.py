@@ -15,14 +15,11 @@ from gridchain.chain import (
     make_genesis,
 )
 from gridchain.consensus import (
-    DIFFICULTY_DIVISOR,
     MAX_UNCLE_GENERATIONS,
     MIN_DIFFICULTY,
-    ZETA_FLOOR,
     DifficultyParams,
     NonMonotonicTimestamp,
     compute_difficulty,
-    difficulty_trace,
     eligible_uncles,
     fork_choice_head,
     validate_header,
@@ -31,16 +28,6 @@ from gridchain.consensus import (
 from gridchain.netsim import SimConfig, run_simulation
 
 from conftest import extend
-
-
-def difficulty_oracle(lam, parent_d, parent_uncles, number, interval):
-    """Independent one-line evaluation of the update rule (the test oracle)."""
-    if number == 0:
-        return 131072
-    exp = max(number - 5_000_000, 0) // 100_000 - 2
-    eps = 2**exp if exp >= 0 else 0
-    y = 1 if parent_uncles == 0 else 2
-    return max(131072, parent_d + (parent_d // 2048) * max(y - interval // lam, -99) + eps)
 
 
 def header(difficulty, timestamp, uncles=0, number=1):
@@ -59,49 +46,42 @@ def header(difficulty, timestamp, uncles=0, number=1):
 def run_rule(lam, parent_d, parent_uncles, number, interval):
     params = DifficultyParams(lambda_=lam)
     parent = header(parent_d, 1000, uncles=parent_uncles, number=number - 1)
-    return difficulty_trace(params, parent, number, 1000 + interval)
+    return compute_difficulty(params, parent, number, 1000 + interval)
 
 
 class TestComputeDifficulty:
     def test_genesis_is_base_difficulty(self):
-        trace = difficulty_trace(DifficultyParams(lambda_=3), None, 0, 0)
-        assert trace.result == 131072
-        assert (trace.t, trace.x, trace.y, trace.zeta, trace.epsilon) == (0, 0, 1, 0, 0)
+        assert compute_difficulty(DifficultyParams(lambda_=3), None, 0, 0) == 131072
 
     def test_lambda9_interval_inside_window(self):
-        # lam=9, parent D=131072, no uncles, T=10 -> x=64, zeta=0, result unchanged
-        trace = run_rule(9, 131072, 0, 1, 10)
-        assert (trace.x, trace.y, trace.zeta, trace.epsilon) == (64, 1, 0, 0)
-        assert trace.result == 131072
+        # lam=9, parent D=131072, no uncles, T=10 -> x=64, y=1, zeta=0,
+        # epsilon=0: result unchanged
+        assert run_rule(9, 131072, 0, 1, 10) == 131072
 
     def test_fast_block_steps_up(self):
         # lam=3, parent D=2,048,000, T=1 -> x=1000, zeta=1 -> 2,049,000
-        trace = run_rule(3, 2_048_000, 0, 100, 1)
-        assert trace.x == 1000 and trace.zeta == 1
-        assert trace.result == 2_049_000
+        assert run_rule(3, 2_048_000, 0, 100, 1) == 2_049_000
 
     def test_slow_block_steps_down(self):
         # lam=3, T=30 -> zeta = max(1-10, -99) = -9 -> 2,048,000 - 9000
-        trace = run_rule(3, 2_048_000, 0, 100, 30)
-        assert trace.zeta == -9
-        assert trace.result == 2_039_000
+        assert run_rule(3, 2_048_000, 0, 100, 30) == 2_039_000
 
     def test_clamp_and_floor(self):
-        # T huge -> zeta clamps at -99; result floors at the base difficulty
-        trace = run_rule(3, 131072, 0, 1, 10_000)
-        assert trace.zeta == -99
-        assert trace.result == 131072
+        # T huge -> zeta clamps at -99; the result floors at the base difficulty
+        assert run_rule(3, 131072, 0, 1, 10_000) == 131072
+        # Far above the base the -99 clamp shows in the result: x=488,281,
+        # so 10**9 - 99 * 488,281. Unclamped (zeta=-3332) it would floor at
+        # 131072.
+        assert run_rule(3, 10**9, 0, 1, 10_000) == 951_660_181
 
     def test_bomb_term_at_5_3_million(self):
-        # floor(2^(3-2)) = 2 on top of an unchanged difficulty
-        trace = run_rule(3, 131072, 0, 5_300_000, 4)  # T in [lam, 2*lam) -> zeta 0
-        assert trace.zeta == 0 and trace.epsilon == 2
-        assert trace.result == 131074
+        # T=4 in [lam, 2*lam) -> zeta 0; epsilon = floor(2^(3-2)) = 2 on top
+        # of an unchanged difficulty
+        assert run_rule(3, 131072, 0, 5_300_000, 4) == 131074
 
     def test_uncle_parent_uses_y2(self):
-        trace = run_rule(3, 131072, 2, 1, 4)
-        assert trace.y == 2 and trace.zeta == 1
-        assert trace.result == 131072 + 64
+        # y=2, T=4 -> zeta = 2 - 1 = 1 -> one step of x=64 up
+        assert run_rule(3, 131072, 2, 1, 4) == 131072 + 64
 
     def test_non_monotonic_timestamp_rejected(self):
         params = DifficultyParams(lambda_=3)
@@ -116,6 +96,7 @@ class TestComputeDifficulty:
             (3, 2_048_000, 0, 100, 1),
             (3, 2_048_000, 0, 100, 30),
             (3, 131072, 0, 1, 10_000),
+            (3, 10**9, 0, 1, 10_000),
             (3, 131072, 0, 5_300_000, 4),
             # The last height without a bomb term (0) and the first with
             # one (1): BOMB_OFFSET + 2 * BOMB_PERIOD = 5,200,000.
@@ -133,9 +114,8 @@ class TestComputeDifficulty:
                     rng.randint(1, 10_000),
                 )
             )
-        for lam, pd, pu, number, t in cases:
-            got = run_rule(lam, pd, pu, number, t).result
-            assert got == difficulty_oracle(lam, pd, pu, number, t), (lam, pd, pu, number, t)
+        for case in cases:
+            assert run_rule(*case) == oracles.difficulty_oracle(*case), case
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -146,7 +126,7 @@ class TestComputeDifficulty:
         t=st.integers(min_value=1, max_value=100_000),
     )
     def test_exact_recurrence_property(self, lam, pd, pu, number, t):
-        assert run_rule(lam, pd, pu, number, t).result == difficulty_oracle(lam, pd, pu, number, t)
+        assert run_rule(lam, pd, pu, number, t) == oracles.difficulty_oracle(lam, pd, pu, number, t)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -157,7 +137,7 @@ class TestComputeDifficulty:
     def test_region_property(self, lam, pd, t):
         # With no uncles and a dormant bomb: up iff T < lam, flat on
         # [lam, 2*lam), down (when above the floor) iff T >= 2*lam.
-        result = run_rule(lam, pd, 0, 1, t).result
+        result = run_rule(lam, pd, 0, 1, t)
         if t < lam:
             assert result > pd
         elif t < 2 * lam:
@@ -175,7 +155,7 @@ class TestComputeDifficulty:
     )
     def test_monotone_clamp(self, lam, pd, pu):
         lower = max(131072, pd + (pd // 2048) * (-99))
-        results = [run_rule(lam, pd, pu, 10, t).result for t in range(1, 40 * lam, max(1, lam))]
+        results = [run_rule(lam, pd, pu, 10, t) for t in range(1, 40 * lam, max(1, lam))]
         assert all(a >= b for a, b in zip(results, results[1:]))
         assert all(r >= lower for r in results)
 
@@ -188,30 +168,19 @@ class TestComputeDifficulty:
         t=st.integers(min_value=1, max_value=50_000),
         case=st.sampled_from(["valid", "no parent", "not after parent"]),
     )
-    def test_trace_restates_the_int_rule(self, lam, pd, pu, number, t, case):
-        # compute_difficulty returns the plain int; difficulty_trace returns
-        # the same result, and its own fields rebuild it. On a bad input both
-        # raise the same exception.
+    def test_returns_an_int_or_rejects_bad_input(self, lam, pd, pu, number, t, case):
+        # A valid child gets a plain int. A non-genesis block without a
+        # parent raises ValueError, and a timestamp not after the parent's
+        # raises NonMonotonicTimestamp.
         params = DifficultyParams(lambda_=lam)
         parent = None if case == "no parent" else header(pd, 1000, uncles=pu, number=number - 1)
         timestamp = 1000 + t if case == "valid" else 1001 - t
-
-        def outcome(rule):
-            try:
-                return rule(params, parent, number, timestamp)
-            except Exception as exc:
-                return type(exc)
-
-        value, trace = outcome(compute_difficulty), outcome(difficulty_trace)
-        if case != "valid":
-            expected = ValueError if parent is None else NonMonotonicTimestamp
-            assert value is expected and trace is expected
+        if case == "valid":
+            assert type(compute_difficulty(params, parent, number, timestamp)) is int
             return
-        assert type(value) is int
-        assert trace.result == value
-        assert trace.x == pd // DIFFICULTY_DIVISOR
-        assert trace.zeta == max(trace.y - trace.t // lam, ZETA_FLOOR)
-        assert trace.result == max(MIN_DIFFICULTY, pd + trace.x * trace.zeta + trace.epsilon)
+        expected = ValueError if parent is None else NonMonotonicTimestamp
+        with pytest.raises(expected):
+            compute_difficulty(params, parent, number, timestamp)
 
     def test_lambda9_matches_fixed_divisor_formula(self):
         # The tunable rule at lambda=9 must be bit-identical to the
@@ -226,7 +195,7 @@ class TestComputeDifficulty:
             exp = max(number - 5_000_000, 0) // 100_000 - 2
             eps = 2**exp if exp >= 0 else 0
             fixed9 = max(131072, pd + (pd // 2048) * max(y - t // 9, -99) + eps)
-            assert run_rule(9, pd, pu, number, t).result == fixed9
+            assert run_rule(9, pd, pu, number, t) == fixed9
 
 
 class TestForkChoice:
@@ -463,12 +432,11 @@ class TestValidateHeader:
     def make_valid_child(self, tree, parent, ts_gap=4):
         params = self.params()
         ts = parent.header.timestamp + ts_gap
-        trace = difficulty_trace(params, parent.header, parent.number + 1, ts)
         return make_block(
             number=parent.number + 1,
             parent_id=parent.block_id,
             miner=0,
-            difficulty=trace.result,
+            difficulty=compute_difficulty(params, parent.header, parent.number + 1, ts),
             timestamp=ts,
         )
 

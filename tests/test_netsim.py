@@ -35,6 +35,7 @@ from oracles import (
     PerReceiverSimulation,
     build_tx_table_argsort,
     delivered,
+    difficulty_oracle,
     fill_block,
     generate_tx_arrivals,
     header_digest,
@@ -635,12 +636,11 @@ class TestEventSemantics:
         assert block.header.parent_id == sim.genesis.block_id
         assert block.header.miner == 1
         # difficulty follows the rule applied to (genesis, timestamp)
-        from gridchain.consensus import difficulty_trace
-
-        trace = difficulty_trace(
-            sim.params, sim.genesis.header, 1, block.header.timestamp
+        genesis = sim.genesis.header
+        assert block.header.difficulty == difficulty_oracle(
+            sim.params.lambda_, genesis.difficulty, len(genesis.uncle_ids), 1,
+            block.header.timestamp - genesis.timestamp,
         )
-        assert block.header.difficulty == trace.result
 
     def test_every_difficulty_evaluation_goes_through_the_traced_names(self):
         # The bench tracer wraps ``compute_difficulty`` where netsim and
