@@ -74,6 +74,8 @@ class ExperimentSpec:
             raise InvalidConfig(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.mode == "sweep" and not self.sweep_lambdas:
             raise InvalidConfig("sweep mode needs a non-empty --sweep list")
+        if self.trace and self.mode not in ("single", "mainnet-compare"):
+            raise InvalidConfig(f"--trace applies to single and mainnet-compare, not {self.mode}")
         if self.workers < 1:
             raise InvalidConfig("workers must be >= 1")
         if self.meter_interval_s < 1:
@@ -115,7 +117,7 @@ OPTIONS = {
     "runs": (int, "num_runs", "independent runs per threshold"),
     "seed": (int, "seed", "base seed; run i draws from (seed, i)"),
     "out": (str, None, "output file"),
-    "trace": (boolean, None, "write per-run block event traces next to the output"),
+    "trace": (boolean, None, "single, mainnet-compare: write per-run traces beside the output"),
     "total_hashrate": (float, "total_hashrate", "difficulty solved per second, all miners"),
     "warmup_blocks": (int, "warmup_blocks", "canonical blocks left out of the statistics"),
     "initial_difficulty": (int, "initial_difficulty",
@@ -175,8 +177,12 @@ def parse_config(argv: list[str] | None = None) -> ExperimentSpec:
     path = args.pop("config")
     values = read_config_file(path) if path is not None else {}
     values.update((name, value) for name, value in args.items() if value is not None)
+    mode = values.get("mode", "single")
+    fixed = [name for name in values if OPTIONS[name][1] in MAINNET_PRESET]
+    if mode == "mainnet-compare" and fixed:
+        raise InvalidConfig(f"mainnet-compare runs at its own preset; remove {', '.join(fixed)}")
     return ExperimentSpec(
-        mode=values.get("mode", "single"),
+        mode=mode,
         config=SimConfig(**{
             OPTIONS[name][1]: value for name, value in values.items() if OPTIONS[name][1]
         }),

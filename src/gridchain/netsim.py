@@ -8,7 +8,7 @@ pending pool up to the gas limit, carry up to two uncles, and are delivered
 to every peer after the propagation delay. Block ids digest their
 contents, so a run keeps one block tree: each header is checked once, when
 its block is mined, and a node differs from another only in the ids it
-holds, its head, its orphan buffer (used only by direct calls) and its pool.
+holds, its head and its pool.
 
 Determinism: a run is a pure function of (config, run_index). Events are
 processed in (time, sequence) order: deliveries from a heap, mining draws
@@ -339,8 +339,8 @@ class NodeState:
     ``tree`` is the run's one shared block store; ``known`` holds the ids of
     the blocks this node has mined or received. ``head_block`` is the
     first-received (or mined) block of maximal total difficulty among them:
-    a block replaces it only when strictly heavier. ``orphans`` holds, by
-    parent id, blocks that a direct call delivered before their parent.
+    a block replaces it only when strictly heavier, and only
+    ``Simulation._reorg`` moves it.
 
     The pool works on transaction ids, which are arrival indices into the
     shared ``TxTable``, and keeps no per-transaction objects:
@@ -371,7 +371,6 @@ class NodeState:
         "tree",
         "known",
         "head_block",
-        "orphans",
         "epoch",
         "in_chain",
         "delivered",
@@ -386,7 +385,6 @@ class NodeState:
         self.tree = tree
         self.known = {tree.genesis_id}
         self.head_block = tree.blocks[tree.genesis_id]
-        self.orphans: dict[str, list[Block]] = {}
         self.epoch = 0
         self.in_chain = np.zeros(table.count, dtype=np.bool_)
         self.delivered = table.origins == index
@@ -580,9 +578,8 @@ class Simulation:
         return tuple(found)
 
     def on_block_mined(self, node_index: int, now: float) -> Block:
-        """Assemble a block on the node's current head, check its header
-        once for the run, adopt it, then broadcast it and restart mining on
-        the new head."""
+        """Assemble a block on the node's head, check its header once for
+        the run, adopt it through ``_reorg`` and broadcast it."""
         node = self.nodes[node_index]
         tree = self.tree
         parent = node.head_block.header
@@ -610,12 +607,10 @@ class Simulation:
         self.tx_arrays[block.block_id] = claim
         tree.insert_block(block)
         node.known.add(block.block_id)
-        node.head_block = block
-        node.set_in_chain(claim, True)
+        self._reorg(node, block, now)
         if self.trace is not None:
             self._trace(now, "mined", node.index, block)
         self._broadcast(block, node.index, now)
-        self._schedule_mining(node, now)
         return block
 
     def _broadcast(self, block: Block, sender: int, now: float) -> None:
@@ -639,15 +634,14 @@ class Simulation:
         The header passed ``validate_header`` when it was mined, and block
         ids digest their contents, so the node checks only that it holds the
         parent and the uncles. A run delivers both first (delays meet the
-        triangle inequality, equal-time events pop in push order); a block
-        that a direct call delivers early waits in ``orphans``."""
+        triangle inequality, equal-time events pop in push order). A direct
+        call may deliver a block early: its parent is received first."""
         node = self.nodes[node_index]
         known, td = node.known, self.tree.total_difficulty
         header = block.header
         bid = header.block_id
         if header.parent_id not in known:
-            node.orphans.setdefault(header.parent_id, []).append(block)
-            return
+            self.on_block_received(node_index, self.tree.block(header.parent_id), now)
         if not known.issuperset(header.uncle_ids):
             # Simulator nodes are honest; a failure here is a bug.
             raise AssertionError(f"invalid header broadcast: {bid}")
@@ -657,16 +651,14 @@ class Simulation:
         # Only a strictly heavier block moves the head: the first received wins a tie.
         if td[bid] > td[node.head_block.header.block_id]:
             self._reorg(node, block, now)
-        for child in node.orphans.pop(bid, ()):
-            self.on_block_received(node_index, child, now)
 
     def _reorg(self, node: NodeState, new_head: Block, now: float) -> None:
-        """Move the node's canonical state from the old head to ``new_head``
-        in one walk to their common ancestor, stepping the higher tip (the
-        new one on a tie): an abandoned block returns its transactions to
-        the pool as the walk leaves it, and the adopted blocks claim theirs
-        after the walk, where no clear can undo a claim. Mining restarts on
-        the new head."""
+        """Move the node's head to ``new_head``, a block it mined, received
+        or settles on: the one place a head moves. One walk to their common
+        ancestor steps the higher tip (the new one on a tie): an abandoned
+        block returns its transactions to the pool as the walk leaves it,
+        and the adopted blocks claim theirs after the walk, where no clear
+        can undo a claim. Mining restarts on the new head."""
         blocks, tx_arrays = self.tree.blocks, self.tx_arrays
         old, new = node.head_block.header, new_head.header
         added: list[str] = []

@@ -208,8 +208,8 @@ class PerReceiverSimulation(Simulation):
     """The simulator with one delivery event per (block, receiver), pushed
     in receiver order, and a full header check at every receiver: against
     the run's tree, plus that the node holds the parent and every uncle. It
-    buffers nothing, so a run that delivered a block before its parent
-    would raise here."""
+    takes no missing parent from the store, so a run that delivered a block
+    before its parent would raise here."""
 
     def _broadcast(self, block: Block, sender: int, now: float) -> None:
         for dst in range(self.config.num_nodes):

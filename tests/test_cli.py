@@ -290,6 +290,17 @@ class TestSweepCli:
         assert (tmp_path / "trace_run0.csv").exists()
         assert (tmp_path / "trace_run1.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "sweep", "--sweep", "1,3", "--runs", "1", "--out", "s.csv"],
+        ["--mode", "e2e-demo", "--out", "demo.txt"],
+    ])
+    def test_trace_outside_single_runs_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                        flags):
+        monkeypatch.chdir(tmp_path)
+        assert main(flags + ["--duration", "60", "--trace"]) == EXIT_CONFIG
+        assert "--trace applies to single and mainnet-compare" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_trace_simulates_each_run_once(self, tmp_path):
         runs = []
         original = Simulation.run
@@ -316,6 +327,21 @@ class TestMainnetCompare:
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "9"
+
+    @pytest.mark.parametrize("flags, given", [
+        (["--lambda", "3", "--nodes", "5", "--delay", "0.1"], "lambda, nodes, delay"),
+        (["--hash-shares", "0.5,0.3,0.2"], "hash_shares"),
+        (["--config", "preset.conf"], "lambda"),
+    ])
+    def test_preset_options_are_config_error(self, tmp_path, monkeypatch, capsys, flags,
+                                             given):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "preset.conf").write_text("lambda = 9\n", encoding="utf-8")
+        code = main(["--mode", "mainnet-compare", "--duration", "60", "--runs", "1"] + flags)
+        assert code == EXIT_CONFIG
+        assert f"mainnet-compare runs at its own preset; remove {given}" in (
+            capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["preset.conf"]
 
     def test_trace_is_honoured(self, tmp_path):
         args = ["--mode", "mainnet-compare", "--duration", "200", "--runs", "2", "--seed", "5"]

@@ -692,23 +692,92 @@ class TestEventSemantics:
         assert node1.head_block.block_id == b2.block_id
         assert rival.block_id in node1.known
 
-    def test_out_of_order_delivery_buffers_and_matches_in_order(self):
-        config = small_config(tx_rate=0.0)
-        sim_a = Simulation(config, 0)
-        b1 = sim_a.on_block_mined(0, 1.0)
-        node0 = sim_a.nodes[0]
-        node0.head_block = b1
-        b2 = sim_a.on_block_mined(0, 2.5)
+    def test_out_of_order_delivery_takes_the_parent_from_the_store(self):
+        config = small_config(tx_rate=5.0)
+        sim = Simulation(config, 0)
+        b1 = sim.on_block_mined(0, 1.0)
+        b2 = sim.on_block_mined(0, 2.5)
+        assert b2.header.parent_id == b1.block_id
+        assert b1.tx_ids and b2.tx_ids
+        node1, node2 = sim.nodes[1], sim.nodes[2]
         # in-order delivery to node 1
-        sim_a.on_block_received(1, b1, 1.25)
-        sim_a.on_block_received(1, b2, 2.75)
-        # out-of-order delivery to node 2: child first, buffered
-        sim_a.on_block_received(2, b2, 2.75)
-        assert b2.block_id not in sim_a.nodes[2].known
-        sim_a.on_block_received(2, b1, 3.0)
-        assert b2.block_id in sim_a.nodes[2].known
-        assert sim_a.nodes[2].head_block.block_id == b2.block_id
-        assert sim_a.nodes[2].known == sim_a.nodes[1].known
+        sim.on_block_received(1, b1, 1.25)
+        sim.on_block_received(1, b2, 2.75)
+        # out-of-order delivery to node 2: the child first, so the node
+        # takes the parent from the run's block store and holds both at once
+        sim.on_block_received(2, b2, 2.75)
+        assert node2.head_block.block_id == node1.head_block.block_id == b2.block_id
+        assert node2.known == node1.known
+        assert np.array_equal(node2.in_chain, node1.in_chain)
+        # the parent's own delivery later changes nothing
+        known, in_chain = set(node2.known), node2.in_chain.copy()
+        timer, epoch = sim.timers[2], node2.epoch
+        sim.on_block_received(2, b1, 3.0)
+        assert node2.head_block.block_id == b2.block_id
+        assert node2.known == known
+        assert np.array_equal(node2.in_chain, in_chain)
+        assert (sim.timers[2], node2.epoch) == (timer, epoch)
+
+    def test_branch_delivered_in_reverse_matches_in_order(self):
+        # Node 1 mines a block of its own, then receives node 0's heavier
+        # 3-block branch: in order in one run, grandchild first in the other.
+        config = small_config(tx_rate=5.0)
+        in_order, reverse = Simulation(config, 0), Simulation(config, 0)
+        times = (1.0, 2.5, 4.0)
+        for sim in (in_order, reverse):
+            sim.on_block_mined(1, 0.5)
+        branch = [in_order.on_block_mined(0, t) for t in times]
+        assert [reverse.on_block_mined(0, t).block_id for t in times] == [
+            b.block_id for b in branch]
+        for block, t in zip(branch, times):
+            in_order.on_block_received(1, block, t + 0.25)
+        for block in reversed(branch):
+            reverse.on_block_received(1, block, times[-1] + 0.25)
+        a, b = in_order.nodes[1], reverse.nodes[1]
+        for node in (a, b):
+            node.catch_up(times[-1] + 1.0, config.propagation_delay)
+        assert b.head_block.block_id == a.head_block.block_id == branch[-1].block_id
+        assert b.known == a.known
+        assert np.array_equal(b.in_chain, a.in_chain)
+        assert pending_ids(b) == pending_ids(a)
+        assert pending_ids(a)  # node 1's abandoned block returned ids to the pool
+
+    def test_each_mined_block_is_adopted_by_one_reorg_that_abandons_nothing(self,
+                                                                            monkeypatch):
+        config = small_config(lambda_=1, num_nodes=6, propagation_delay=2.0, tx_rate=5.0,
+                              sim_duration=300.0)
+        sim = Simulation(config, 0)
+        blocks = sim.tree.blocks
+        reorgs = []  # (blocks abandoned, new head id) per ``_reorg`` call
+        reorg, mine = Simulation._reorg, Simulation.on_block_mined
+
+        def abandoned(old, new):
+            depth = 0
+            while old.block_id != new.block_id:
+                if old.number > new.number:
+                    old = blocks[old.header.parent_id]
+                    depth += 1
+                else:
+                    new = blocks[new.header.parent_id]
+            return depth
+
+        def recording_reorg(self, node, new_head, now):
+            reorgs.append((abandoned(node.head_block, new_head), new_head.block_id))
+            reorg(self, node, new_head, now)
+
+        def checked_mine(self, node_index, now):
+            before = len(reorgs)
+            block = mine(self, node_index, now)
+            assert reorgs[before:] == [(0, block.block_id)]
+            return block
+
+        monkeypatch.setattr(Simulation, "_reorg", recording_reorg)
+        monkeypatch.setattr(Simulation, "on_block_mined", checked_mine)
+        sim.run()
+        mined = len(blocks) - 1
+        assert mined > sim.nodes[0].head_block.number  # the run forked
+        assert len(reorgs) > mined
+        assert max(depth for depth, _ in reorgs) >= 1  # received blocks did abandon
 
     def test_stale_sibling_becomes_uncle(self):
         config = small_config(tx_rate=0.0)
