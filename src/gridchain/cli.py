@@ -109,7 +109,7 @@ OPTIONS = {
     "sweep": (int_list, None, "comma-separated thresholds for sweep mode"),
     "nodes": (int, "num_nodes", "number of miners"),
     "hash_shares": (float_list, "hash_shares", "comma-separated per-node hashrate fractions"),
-    "delay": (float, "propagation_delay", "block propagation delay in seconds"),
+    "delay": (float, "propagation_delay", "propagation delay in seconds, blocks and transactions"),
     "tx_rate": (float, "tx_rate", "transactions created per second"),
     "gas_limit": (int, "block_gas_limit", "block gas limit"),
     "tx_gas": (int, "mean_tx_gas", "gas per transaction"),

@@ -75,6 +75,9 @@ class SimConfig:
     every simulated transaction is ``chain.TX_SIZE_KB`` (0.759808 kB), and
     nothing in a run reads it.
 
+    ``propagation_delay`` is the one delay between any two nodes: blocks,
+    transactions and the equilibrium estimate all use it.
+
     ``total_hashrate`` sets the scale of solve times (difficulty per second);
     the default of one base-difficulty per second keeps the difficulty
     floor from pinning short intervals, so every threshold in a sweep has a
@@ -98,8 +101,6 @@ class SimConfig:
     seed: int = 1
     warmup_blocks: int = 100
     initial_difficulty: int | None = None
-    # Optional per-link delays {(src, dst): seconds} for sensitivity runs.
-    link_delays: dict[tuple[int, int], float] | None = None
     # Optional gas distribution: callable(rng, n) -> int array.
     tx_gas_sampler: Callable | None = None
 
@@ -153,29 +154,9 @@ class SimConfig:
             raise InvalidConfig("warmup_blocks must be non-negative")
         if self.initial_difficulty is not None and self.initial_difficulty < MIN_DIFFICULTY:
             raise InvalidConfig(f"initial_difficulty must be >= {MIN_DIFFICULTY}")
-        if self.link_delays is not None:
-            for (src, dst), delay in self.link_delays.items():
-                distinct = src != dst and {src, dst} <= set(range(self.num_nodes))
-                if not (distinct and 0 <= delay < math.inf):
-                    raise InvalidConfig(f"link delay {(src, dst)} = {delay}: need two distinct "
-                                        f"nodes below {self.num_nodes} and a finite delay >= 0")
-            # Blocks are not relayed, so a block reaches a node no later than
-            # one that references it only if no two-hop path is faster.
-            d = self.delay
-            for i, j, k in itertools.permutations(range(self.num_nodes), 3):
-                if d(i, k) > d(i, j) + d(j, k):
-                    raise InvalidConfig(
-                        f"link_delays break the triangle inequality: delay({i},{k}) > "
-                        f"delay({i},{j}) + delay({j},{k})"
-                    )
 
     def difficulty_params(self) -> DifficultyParams:
         return DifficultyParams(lambda_=int(self.lambda_))
-
-    def delay(self, src: int, dst: int) -> float:
-        if self.link_delays is not None:
-            return self.link_delays.get((src, dst), self.propagation_delay)
-        return self.propagation_delay
 
 
 def _zeta_drift(m: float, lam: int, delay: float, shares: Sequence[float]) -> float:
@@ -280,7 +261,9 @@ def build_tx_table(
     Injected entries are (time, origin_node, transaction); transactions are
     re-numbered by final arrival order so tx ids equal arrival indices. An
     injected transaction arrives after every generated one at its time, and
-    injected ones at one time keep their order in ``injected``.
+    injected ones at one time keep their order in ``injected``. Its origin
+    must be a node and its time finite and non-negative; a time at or after
+    the end leaves it pending.
     """
     stat_times = _sample_arrival_times(config.tx_rate, config.sim_duration, rng)
     n_stat = len(stat_times)
@@ -302,6 +285,14 @@ def build_tx_table(
         stat_gas = np.broadcast_to(np.int64(config.mean_tx_gas), (n_stat,))
 
     if injected:
+        nodes = range(config.num_nodes)
+        for time, origin, tx in injected:
+            if origin not in nodes:
+                raise InvalidConfig(f"injected transaction {tx.tx_id}: origin {origin!r} "
+                                    f"is not a node below {config.num_nodes}")
+            if not 0 <= time < math.inf:
+                raise InvalidConfig(f"injected transaction {tx.tx_id}: time {time!r} "
+                                    f"must be finite and >= 0")
         inj = sorted(injected, key=lambda item: item[0])
         # One pass: injected transaction j comes after the at[j] generated
         # arrivals at or before its time and the j injected ones before it.
@@ -497,9 +488,9 @@ class Simulation:
         self.tree = BlockTree(self.genesis)
         self.nodes = [NodeState(i, self.tree, self.table) for i in range(config.num_nodes)]
         self.hashrates = [config.total_hashrate * share for share in config.shares()]
-        # Per sender: (delay, receiver) for every other node, in index order.
-        self.links = [[(config.delay(src, dst), dst) for dst in range(config.num_nodes)
-                       if dst != src] for src in range(config.num_nodes)]
+        # Per sender: every other node, in index order.
+        self.peers = [tuple(j for j in range(config.num_nodes) if j != i)
+                      for i in range(config.num_nodes)]
         # Block id -> the block's transaction ids for ``set_in_chain``: a
         # slice when they form one range, an index array otherwise.
         self.tx_arrays: dict[str, slice | np.ndarray] = {}
@@ -614,18 +605,16 @@ class Simulation:
         return block
 
     def _broadcast(self, block: Block, sender: int, now: float) -> None:
-        """One delivery event per arrival time, carrying its receivers in
-        index order.
+        """One delivery event at ``now + propagation_delay``, carrying every
+        other node in index order; a one-node run pushes nothing.
 
-        Per-receiver events would take consecutive sequence numbers, so no
-        other event could fall between two of them with the same time: one
-        event that delivers to each receiver in turn is the same order.
+        Per-receiver events would take consecutive sequence numbers and one
+        time, so no other event could fall between two of them: one event
+        that delivers to each receiver in turn is the same order.
         """
-        arrivals: dict[float, list[int]] = {}
-        for delay, receiver in self.links[sender]:
-            arrivals.setdefault(now + delay, []).append(receiver)
-        for time, receivers in arrivals.items():
-            self._push(time, tuple(receivers), block)
+        peers = self.peers[sender]
+        if peers:
+            self._push(now + self.config.propagation_delay, peers, block)
 
     def on_block_received(self, node_index: int, block: Block, now: float) -> None:
         """Take a delivered block, then reorganise if it is strictly heavier
@@ -633,15 +622,21 @@ class Simulation:
 
         The header passed ``validate_header`` when it was mined, and block
         ids digest their contents, so the node checks only that it holds the
-        parent and the uncles. A run delivers both first (delays meet the
-        triangle inequality, equal-time events pop in push order). A direct
-        call may deliver a block early: its parent is received first."""
+        parent and the uncles. A run delivers both first: every block
+        reaches every other node one ``propagation_delay`` after it is
+        mined, and equal-time events pop in push order. A direct call may
+        deliver a block early: its missing ancestors are received first,
+        oldest first, one in-order delivery each."""
         node = self.nodes[node_index]
         known, td = node.known, self.tree.total_difficulty
         header = block.header
         bid = header.block_id
         if header.parent_id not in known:
-            self.on_block_received(node_index, self.tree.block(header.parent_id), now)
+            missing = [self.tree.block(header.parent_id)]
+            while missing[-1].header.parent_id not in known:
+                missing.append(self.tree.block(missing[-1].header.parent_id))
+            for ancestor in reversed(missing):
+                self.on_block_received(node_index, ancestor, now)
         if not known.issuperset(header.uncle_ids):
             # Simulator nodes are honest; a failure here is a bug.
             raise AssertionError(f"invalid header broadcast: {bid}")

@@ -39,13 +39,3 @@ def extend(tree: BlockTree, parent, difficulty: int, *, ts=None, miner=0,
     tree.insert_block(block)
     return block
 
-
-def line_link_delays(positions, base: float) -> dict:
-    """Per-link delays of nodes placed on a line: d(i, j) = base + |x_i - x_j|.
-
-    A metric, so a block's uncle reaches every node no later than the
-    block that references it (the triangle inequality), as the simulator
-    requires of ``SimConfig.link_delays``.
-    """
-    return {(i, j): base + abs(xi - xj)
-            for i, xi in enumerate(positions) for j, xj in enumerate(positions) if i != j}

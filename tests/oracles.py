@@ -214,7 +214,7 @@ class PerReceiverSimulation(Simulation):
     def _broadcast(self, block: Block, sender: int, now: float) -> None:
         for dst in range(self.config.num_nodes):
             if dst != sender:
-                self._push(now + self.config.delay(sender, dst), (dst,), block)
+                self._push(now + self.config.propagation_delay, (dst,), block)
 
     def on_block_received(self, node_index: int, block: Block, now: float) -> None:
         node = self.nodes[node_index]

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -103,6 +104,13 @@ class TestParseConfig:
                      "--duration", "--runs", "--seed", "--out", "--config",
                      "--trace"):
             assert flag in option_strings
+
+    def test_options_set_every_config_field_once(self):
+        # The gas sampler is a callable, which no flag or file can hold.
+        targets = [field for _, field, _ in cli.OPTIONS.values() if field is not None]
+        fields = {f.name for f in dataclasses.fields(SimConfig)} - {"tx_gas_sampler"}
+        assert len(targets) == len(set(targets))
+        assert set(targets) == fields
 
 
 # For every option that sets a SimConfig field, a value that moves a short

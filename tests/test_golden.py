@@ -3,7 +3,7 @@
 Each cell hashes (sha256) one output that a refactor or speed-up must leave
 byte-identical: a small sweep CSV, ``repr(RunStats)`` with every node's head
 for a few (config, run) cells, the ``--trace`` CSV (every mined and received
-block, in event order) of two fork-heavy cells, the registry dump of a
+block, in event order) of a fork-heavy cell, the registry dump of a
 short end-to-end demo, and the files and standard output of four command
 lines. A change that moves results on purpose re-pins the affected cells and
 names them, with the reason, in CHANGES.md.
@@ -18,8 +18,6 @@ from gridchain.cli import EXIT_OK, ExperimentSpec, main, run_e2e_demo
 from gridchain.contract import dump_state
 from gridchain.metrics import aggregate_runs, write_sweep_csv
 from gridchain.netsim import SimConfig, run_many, run_simulation
-
-from conftest import line_link_delays
 
 
 def _sha(text: str) -> str:
@@ -37,14 +35,6 @@ def fork_config(tx_rate: float) -> SimConfig:
                      sim_duration=600.0, warmup_blocks=10, seed=1)
 
 
-def links_config() -> SimConfig:
-    """Fork-heavy with per-link delays: 4 unequal miners on a line."""
-    return SimConfig(lambda_=1, num_nodes=4, hash_shares=(0.4, 0.3, 0.2, 0.1),
-                     propagation_delay=0.5, tx_rate=20.0, sim_duration=600.0,
-                     warmup_blocks=10, seed=1,
-                     link_delays=line_link_delays((0.0, 0.3, 1.0, 2.2), 0.2))
-
-
 # name -> (config, run index)
 RUN_CELLS = {
     "paper-l1-r0": (paper_config(1), 0),
@@ -58,7 +48,6 @@ RUN_CELLS = {
 # name -> (config, run index) whose event trace is pinned
 TRACE_CELLS = {
     "trace-fork-5tps-r0": (fork_config(5.0), 0),
-    "trace-links-r0": (links_config(), 0),
 }
 
 PINNED = {
@@ -72,7 +61,6 @@ PINNED = {
     "fork-5tps-r1": "f82bbcf4f53246081b1133a2c36a07bb6d1c5fc8ceee34ba0b16e3c559079096",
     "fork-100tps-r0": "f4b99a28121a6e4b639731a8108f615f4d1cd1eeab7e2ee9001e8697e431bd46",
     "trace-fork-5tps-r0": "2fa1174b5114f827f7a92ca0210eaeacc0a8a9f1672ccdc61f35dc10237bbf36",
-    "trace-links-r0": "586e124f8b6589349aa276d6c506c3c673f3a3809f6bd19ef940fcb56f9cfeb6",
     "demo-state": "9f00beaae89ba3d3fb98eb9b1c80f167334f1f13b38b840c5aaf586c6778390b",
 }
 

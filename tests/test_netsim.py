@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridchain import netsim
@@ -29,7 +29,7 @@ from gridchain.netsim import (
     run_simulation,
 )
 
-from conftest import addr, line_link_delays, tx
+from conftest import addr, tx
 from oracles import (
     HeapMiningSimulation,
     PerReceiverSimulation,
@@ -111,33 +111,6 @@ class TestConfigValidation:
         assert all(type(getattr(floats, k)) is int for k in ints)
         assert run_simulation(floats, 0).stats == run_simulation(
             SimConfig(sim_duration=100.0, **ints), 0).stats
-
-    def test_link_delays_must_be_metric(self):
-        # 0.1 s links, but 3 s between nodes 0 and 2: a nephew would reach
-        # node 2 over two hops before its uncle arrives from node 0.
-        links = {(i, j): 0.1 for i in range(3) for j in range(3) if i != j}
-        links[(0, 2)] = links[(2, 0)] = 3.0
-        config = SimConfig(lambda_=1, num_nodes=3, link_delays=links, tx_rate=5.0,
-                           sim_duration=600.0)
-        with pytest.raises(InvalidConfig, match="triangle inequality"):
-            config.validate()
-        with pytest.raises(InvalidConfig, match="triangle inequality"):
-            run_simulation(config, 0)
-        two_hops = {**links, (0, 2): 0.2, (2, 0): 0.2}  # equality is allowed
-        dataclasses.replace(config, link_delays=two_hops).validate()
-
-    @pytest.mark.parametrize("links", [
-        {(0, 1): -1.0, (1, 0): -1.0},  # the trace's time would run backwards
-        {(0, 1): math.nan},
-        {(0, 1): math.inf},
-        {(0, 0): 0.1},
-        {(0, 2): 0.1},
-        {(-1, 1): 0.1},
-    ])
-    def test_link_delays_must_be_finite_non_negative_between_two_nodes(self, links):
-        with pytest.raises(InvalidConfig, match="need two distinct nodes below 2"):
-            SimConfig(num_nodes=2, link_delays=links).validate()
-        SimConfig(num_nodes=2, link_delays={(0, 1): 0.0, (1, 0): 0.5}).validate()
 
     def test_infinite_hashrate_rejected(self):
         # Solve times would all be zero: a run would mine at t = 0 forever.
@@ -742,6 +715,20 @@ class TestEventSemantics:
         assert pending_ids(b) == pending_ids(a)
         assert pending_ids(a)  # node 1's abandoned block returned ids to the pool
 
+    def test_delivery_far_ahead_receives_every_missing_ancestor_oldest_first(self):
+        # More missing ancestors than Python's default recursion limit.
+        config = small_config(tx_rate=1.0, sim_duration=1300.0)
+        sim = Simulation(config, 0, trace=io.StringIO())
+        chain = [sim.on_block_mined(0, 1.0 + k) for k in range(1200)]
+        sim.on_block_received(1, chain[-1], 1250.0)
+        node0, node1 = sim.nodes[0], sim.nodes[1]
+        assert node1.head_block.block_id == node0.head_block.block_id == chain[-1].block_id
+        assert node1.known == node0.known
+        assert np.array_equal(node1.in_chain, node0.in_chain)
+        received = [line.split(",")[3] for line in sim.trace.getvalue().splitlines()
+                    if ",received,1," in line]
+        assert received == [b.block_id for b in chain]
+
     def test_each_mined_block_is_adopted_by_one_reorg_that_abandons_nothing(self,
                                                                             monkeypatch):
         config = small_config(lambda_=1, num_nodes=6, propagation_delay=2.0, tx_rate=5.0,
@@ -803,24 +790,6 @@ class TestEventSemantics:
         assert grandchild.header.uncle_ids == (b1.block_id,)
 
 
-def _drawn_config(**fields) -> SimConfig:
-    """The ``SimConfig`` of a hypothesis draw, or a rejected draw.
-
-    ``line_link_delays`` over arbitrary floats can round one side of a
-    triangle one ulp above the sum of the two others (base 0, positions
-    0.4630608976422129, 1.5309097492160562 and 0.43200862505777304 do);
-    ``SimConfig`` rightly refuses such links as no metric, and only those
-    draws are dropped."""
-    config = SimConfig(**fields)
-    try:
-        config.validate()
-    except InvalidConfig as exc:
-        if "triangle inequality" not in str(exc):
-            raise
-        reject()
-    return config
-
-
 def _traced_run(sim_class, config):
     """What a traced run of ``sim_class`` leaves: see ``_run_outcome``."""
     return _run_outcome(sim_class(config, 0, trace=io.StringIO()))
@@ -845,20 +814,16 @@ class TestMiningTimers:
         seed=st.integers(0, 2**32 - 1),
         weights=st.lists(st.integers(1, 5), min_size=1, max_size=6),
         delay=st.just(0.0) | st.floats(0.0, 3.0),
-        positions=st.none() | st.lists(st.floats(0.0, 3.0), min_size=6, max_size=6),
-        base=st.floats(0.0, 1.0),
         lambda_=st.integers(1, 12),
         tx_rate=st.floats(0.0, 30.0),
         duration=st.floats(20.0, 400.0),
     )
-    def test_matches_one_heap_entry_per_draw(self, seed, weights, delay, positions, base,
-                                             lambda_, tx_rate, duration):
-        n = len(weights)
-        links = None if positions is None else line_link_delays(positions[:n], base)
-        config = _drawn_config(lambda_=lambda_, num_nodes=n,
-                               hash_shares=tuple(w / sum(weights) for w in weights),
-                               propagation_delay=delay, link_delays=links, tx_rate=tx_rate,
-                               sim_duration=duration, warmup_blocks=3, seed=seed)
+    def test_matches_one_heap_entry_per_draw(self, seed, weights, delay, lambda_, tx_rate,
+                                             duration):
+        config = SimConfig(lambda_=lambda_, num_nodes=len(weights),
+                           hash_shares=tuple(w / sum(weights) for w in weights),
+                           propagation_delay=delay, tx_rate=tx_rate,
+                           sim_duration=duration, warmup_blocks=3, seed=seed)
         oracle = HeapMiningSimulation(config, 0, trace=io.StringIO())
         assert _traced_run(Simulation, config) == _run_outcome(oracle)
         assert oracle.late_draws > 0  # the last draws landed after the end
@@ -871,33 +836,28 @@ class TestDelivery:
         weights=st.lists(st.integers(1, 5), min_size=1, max_size=5),
         lambda_=st.integers(1, 4),
         delay=st.floats(0.0, 2.0),
-        positions=st.none() | st.lists(st.floats(0.0, 3.0), min_size=5, max_size=5),
-        base=st.floats(0.05, 1.0),
         tx_rate=st.floats(0.0, 30.0),
         gas_range=st.tuples(st.integers(1_000, 60_000), st.integers(0, 200_000)),
         duration=st.floats(20.0, 150.0),
     )
-    def test_matches_per_receiver_oracle(self, seed, weights, lambda_, delay, positions,
-                                         base, tx_rate, gas_range, duration):
+    def test_matches_per_receiver_oracle(self, seed, weights, lambda_, delay, tx_rate,
+                                         gas_range, duration):
         lo, span = gas_range
 
         def sampler(rng, n):
             return rng.integers(lo, lo + span + 1, size=n)
 
-        n = len(weights)
-        links = None if positions is None else line_link_delays(positions[:n], base)
-        config = _drawn_config(lambda_=lambda_, num_nodes=n,
-                               hash_shares=tuple(w / sum(weights) for w in weights),
-                               propagation_delay=delay, link_delays=links, tx_rate=tx_rate,
-                               block_gas_limit=300_000, mean_tx_gas=lo,
-                               sim_duration=duration, warmup_blocks=3, seed=seed,
-                               tx_gas_sampler=sampler)
+        config = SimConfig(lambda_=lambda_, num_nodes=len(weights),
+                           hash_shares=tuple(w / sum(weights) for w in weights),
+                           propagation_delay=delay, tx_rate=tx_rate,
+                           block_gas_limit=300_000, mean_tx_gas=lo,
+                           sim_duration=duration, warmup_blocks=3, seed=seed,
+                           tx_gas_sampler=sampler)
         assert _traced_run(Simulation, config) == _traced_run(PerReceiverSimulation, config)
 
     def test_each_header_is_validated_once(self):
         config = small_config(lambda_=1, num_nodes=5, propagation_delay=1.5, tx_rate=5.0,
-                              sim_duration=200.0,
-                              link_delays=line_link_delays((0.0, 0.2, 0.9, 1.4, 2.0), 0.3))
+                              sim_duration=200.0)
         buf = io.StringIO()
         with mock.patch.object(netsim, "validate_header",
                                wraps=netsim.validate_header) as validate:
@@ -907,37 +867,35 @@ class TestDelivery:
         assert result.stats.included_uncles > 0
         assert sorted(call.args[2].block_id for call in validate.call_args_list) == sorted(mined)
 
-    def test_links_tight_on_the_triangle_inequality(self):
-        # d(i, k) = d(i, j) + d(j, k) exactly along the line (integer
-        # positions, no base delay). The oracle buffers nothing, so it raises
-        # if a block reaches a node before its parent or an uncle.
+    def test_zero_delay_delivers_parents_first(self):
+        # Every block reaches every other node at the time it is mined. The
+        # oracle takes no missing parent from the store, so it raises if a
+        # block reaches a node before its parent or an uncle.
         config = small_config(lambda_=1, num_nodes=5, propagation_delay=0.0, tx_rate=5.0,
-                              sim_duration=600.0, seed=3,
-                              link_delays=line_link_delays((0, 1, 2, 3, 4), 0.0))
+                              sim_duration=600.0, seed=3)
         assert _traced_run(Simulation, config) == _traced_run(PerReceiverSimulation, config)
         result = run_simulation(config, 0)
         assert len(set(result.heads)) == 1
-        assert result.stats.included_uncles > 0
 
-    def test_groups_whose_arrival_times_coincide_share_one_event(self):
-        # Node 0 reaches node 2 one ulp slower than nodes 1 and 3, so its
-        # receivers form two delay groups, but ``now + delay`` rounds to one
-        # time for both: the groups must merge into one event, receivers in
-        # index order, as one event per receiver in that order would run.
-        links = {(i, j): 0.1 for i in range(4) for j in range(4) if i != j}
-        links[(0, 2)] = links[(2, 0)] = math.nextafter(0.1, 1.0)
+    def test_each_mined_block_is_one_event_to_every_other_node(self):
         config = small_config(lambda_=1, num_nodes=4, tx_rate=5.0, sim_duration=600.0,
-                              seed=3, link_delays=links)
-        delivered = []
+                              seed=3)
+        mined, delivered = [], []
 
         class Recording(Simulation):
+            def on_block_mined(self, node_index, now):
+                block = super().on_block_mined(node_index, now)
+                if node_index == 0:
+                    mined.append(block.block_id)
+                return block
+
             def _push(self, time, receivers, block):
                 if block.header.miner == 0:
-                    delivered.append(receivers)
+                    delivered.append((block.block_id, receivers))
                 super()._push(time, receivers, block)
 
         Recording(config, 0).run()
-        assert delivered and set(delivered) == {(1, 2, 3)}
+        assert mined and delivered == [(bid, (1, 2, 3)) for bid in mined]
         assert _traced_run(Simulation, config) == _traced_run(PerReceiverSimulation, config)
 
     def test_validated_block_missing_an_uncle_still_raises(self):
@@ -1021,17 +979,14 @@ class TestForkChoice:
         weights=st.lists(st.integers(1, 5), min_size=2, max_size=5),
         lambda_=st.integers(1, 3),
         delay=st.floats(0.5, 3.0),
-        positions=st.none() | st.lists(st.floats(0.0, 3.0), min_size=5, max_size=5),
         duration=st.floats(20.0, 120.0),
     )
     def test_head_is_first_received_heaviest_after_every_event(
-            self, seed, weights, lambda_, delay, positions, duration):
-        n = len(weights)
-        links = None if positions is None else line_link_delays(positions[:n], 0.5)
-        config = _drawn_config(lambda_=lambda_, num_nodes=n,
-                               hash_shares=tuple(w / sum(weights) for w in weights),
-                               propagation_delay=delay, link_delays=links, tx_rate=2.0,
-                               sim_duration=duration, warmup_blocks=0, seed=seed)
+            self, seed, weights, lambda_, delay, duration):
+        config = SimConfig(lambda_=lambda_, num_nodes=len(weights),
+                           hash_shares=tuple(w / sum(weights) for w in weights),
+                           propagation_delay=delay, tx_rate=2.0,
+                           sim_duration=duration, warmup_blocks=0, seed=seed)
         sim = Simulation(config, 0)
         for node in sim.nodes:
             node.known = _AddOrder(node.known)
@@ -1188,6 +1143,30 @@ class TestInjectedTransactions:
         i = found[0]
         assert table.injected[i].tx_id == i
         assert float(table.times[i]) == 10.0
+
+    @pytest.mark.parametrize("time, origin, message", [
+        (10.0, 3, "origin 3 is not a node below 3"),
+        (10.0, -1, "origin -1 is not a node below 3"),
+        (math.nan, 0, "time nan must be finite"),
+        (math.inf, 0, "time inf must be finite"),
+        (-5.0, 0, r"time -5.0 must be finite and >= 0"),
+    ], ids=["origin-past-last-node", "origin-negative", "time-nan", "time-inf",
+            "time-negative"])
+    def test_injected_origin_and_time_must_be_placeable(self, time, origin, message):
+        config = small_config(tx_rate=2.0, sim_duration=60.0)
+        inj = [(1.0, 0, tx(0)), (time, origin, tx(1))]
+        with pytest.raises(InvalidConfig, match=message):
+            build_tx_table(config, np.random.default_rng(3), inj)
+        with pytest.raises(InvalidConfig, match=message):
+            run_simulation(config, 0, injected=inj)
+
+    def test_injected_at_or_after_the_end_stays_pending(self):
+        config = small_config(tx_rate=2.0, sim_duration=60.0)
+        inj = [(60.0, 0, tx(0)), (90.0, 2, tx(0))]
+        result = run_simulation(config, 0, injected=inj)
+        late = sorted(result.table.injected)
+        assert result.table.times[late].tolist() == [60.0, 90.0]
+        assert not any(set(late) & set(b.tx_ids) for b in result.canonical_blocks())
 
     def test_injected_goes_after_generated_at_the_same_time(self):
         config = small_config(tx_rate=2.0, sim_duration=60.0)
