@@ -17,9 +17,6 @@ from typing import Sequence
 # ``consensus.MAX_UNCLE_GENERATIONS`` generations.
 LINEAGE_ANCESTORS = 7
 
-# Wire size of a simulated transaction (payload plus envelope), in kB.
-TX_SIZE_KB = 0.759808
-
 
 class ChainError(Exception):
     pass
@@ -59,21 +56,18 @@ class Transaction:
     """A contract-call (or plain payload-less) transaction.
 
     ``tx_id`` is unique within a simulation run; for simulator-generated
-    traffic it is simply the arrival index. ``size_kb`` is kept in kB because
-    ``TX_SIZE_KB`` is fractional at byte level.
+    traffic it is simply the arrival index. It has no size: nothing in a
+    run reads one.
     """
 
     tx_id: int
     sender: Address
     gas: int
-    size_kb: float
     payload: object | None = None  # ContractCall for contract traffic
 
     def __post_init__(self) -> None:
         if self.gas <= 0:
             raise ValueError("transaction gas must be positive")
-        if self.size_kb <= 0:
-            raise ValueError("transaction size must be positive")
 
 
 @dataclass(frozen=True, slots=True)

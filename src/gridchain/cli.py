@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chain import TX_SIZE_KB, Transaction
+from .chain import Transaction
 from .contract import CallKind, ContractCall, ReplayedState, replay_chain
 from .meter import (
     MeterAccount,
@@ -301,9 +301,7 @@ class DemoReport:
 
 
 def _control_tx(sender, call: ContractCall, config: SimConfig) -> Transaction:
-    return Transaction(
-        tx_id=0, sender=sender, gas=config.mean_tx_gas, size_kb=TX_SIZE_KB, payload=call,
-    )
+    return Transaction(tx_id=0, sender=sender, gas=config.mean_tx_gas, payload=call)
 
 
 def run_e2e_demo(spec: ExperimentSpec) -> DemoReport:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .chain import TX_SIZE_KB, Address, Transaction
+from .chain import Address, Transaction
 from .contract import CallKind, ContractCall
 
 KEY_LEN = 32
@@ -39,7 +39,6 @@ NONCE_RANDOM_LEN = 12
 # three bytes.
 MAX_FIELD_BLOCKS = 1 << 24
 
-DEFAULT_RECORD_TX_GAS = 45_000
 # Largest energy step between two simulated readings, in kWh.
 MAX_STEP_KWH = 0.5
 
@@ -294,17 +293,12 @@ def unpack_record_fields(id_field: bytes, time_field: bytes, value_field: bytes)
     )
 
 
-def build_record_tx(
-    enc: EncryptedRecord, sender: Address, gas: int = DEFAULT_RECORD_TX_GAS
-) -> Transaction:
-    """Wrap an encrypted record into a record-append transaction.
-
-    A typical record pads to ``TX_SIZE_KB``, the size of every simulated
-    transaction; oversized fields grow the transaction past it. Its id is 0
-    until the simulator numbers it by arrival.
+def build_record_tx(enc: EncryptedRecord, sender: Address, gas: int) -> Transaction:
+    """Wrap an encrypted record into a record-append transaction of
+    ``gas``, which a simulated run requires to be its ``mean_tx_gas``. Its
+    id is 0 until the simulator numbers it by arrival.
     """
     id_field, time_field, value_field = pack_record_fields(enc)
-    payload_kb = (len(id_field) + len(time_field) + len(value_field)) / 1000.0
     call = ContractCall(
         kind=CallKind.NEW_RECO,
         record_id=id_field,
@@ -315,7 +309,6 @@ def build_record_tx(
         tx_id=0,
         sender=sender,
         gas=gas,
-        size_kb=max(TX_SIZE_KB, payload_kb),
         payload=call,
     )
 

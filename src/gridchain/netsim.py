@@ -31,7 +31,7 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -71,9 +71,9 @@ INTEGER_FIELDS = ("lambda_", "num_nodes", "block_gas_limit", "mean_tx_gas", "num
 class SimConfig:
     """Experiment input. Defaults follow the measured small-network setup:
     3 miners with equal shares, 0.25 s propagation, 100 tx/s arrivals,
-    15M gas blocks and 45k gas transactions. Transaction size is no setting:
-    every simulated transaction is ``chain.TX_SIZE_KB`` (0.759808 kB), and
-    nothing in a run reads it.
+    15M gas blocks and 45k gas transactions. Every transaction, generated or
+    injected, carries ``mean_tx_gas``: a block holds at most
+    ``block_gas_limit // mean_tx_gas`` of them.
 
     ``propagation_delay`` is the one delay between any two nodes: blocks,
     transactions and the equilibrium estimate all use it.
@@ -101,8 +101,6 @@ class SimConfig:
     seed: int = 1
     warmup_blocks: int = 100
     initial_difficulty: int | None = None
-    # Optional gas distribution: callable(rng, n) -> int array.
-    tx_gas_sampler: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.hash_shares is not None:
@@ -233,8 +231,8 @@ class TxTable:
     re-numbered into arrival order and kept as objects in ``injected``,
     with their payloads.
 
-    When every id carries one gas value, ``gas`` is a read-only zero-stride
-    view of that value, and ``NodeState.fill`` fills by count.
+    Every id carries ``mean_tx_gas``, so ``gas`` is a read-only zero-stride
+    view of that one value.
     """
 
     def __init__(
@@ -263,7 +261,7 @@ def build_tx_table(
     injected transaction arrives after every generated one at its time, and
     injected ones at one time keep their order in ``injected``. Its origin
     must be a node and its time finite and non-negative; a time at or after
-    the end leaves it pending.
+    the end leaves it pending. Its gas must be ``mean_tx_gas``.
     """
     stat_times = _sample_arrival_times(config.tx_rate, config.sim_duration, rng)
     n_stat = len(stat_times)
@@ -272,18 +270,6 @@ def build_tx_table(
         if n_stat
         else np.empty(0, dtype=np.int64)
     )
-    uniform = config.tx_gas_sampler is None or not n_stat
-    if not uniform:
-        stat_gas = np.asarray(config.tx_gas_sampler(rng, n_stat), dtype=np.int64)
-        if len(stat_gas) != n_stat or (stat_gas <= 0).any():
-            raise InvalidConfig("tx_gas_sampler must return positive gas per transaction")
-        if (stat_gas > config.block_gas_limit).any():
-            # fill stops at the first misfit, so it would block the pool for good
-            raise InvalidConfig("tx_gas_sampler drew gas above the block gas limit")
-    else:
-        # One stored value, read-only: nothing writes a table's gas column.
-        stat_gas = np.broadcast_to(np.int64(config.mean_tx_gas), (n_stat,))
-
     if injected:
         nodes = range(config.num_nodes)
         for time, origin, tx in injected:
@@ -293,6 +279,9 @@ def build_tx_table(
             if not 0 <= time < math.inf:
                 raise InvalidConfig(f"injected transaction {tx.tx_id}: time {time!r} "
                                     f"must be finite and >= 0")
+            if tx.gas != config.mean_tx_gas:
+                raise InvalidConfig(f"injected transaction {tx.tx_id}: gas {tx.gas!r} "
+                                    f"is not mean_tx_gas {config.mean_tx_gas}")
         inj = sorted(injected, key=lambda item: item[0])
         # One pass: injected transaction j comes after the at[j] generated
         # arrivals at or before its time and the j injected ones before it.
@@ -300,18 +289,15 @@ def build_tx_table(
         at = stat_times.searchsorted(inj_times, "right")
         times = np.insert(stat_times, at, inj_times)
         origins = np.insert(stat_origins, at, [item[1] for item in inj])
-        inj_gas = [item[2].gas for item in inj]
-        if uniform and set(inj_gas) == {config.mean_tx_gas}:
-            gas = np.broadcast_to(np.int64(config.mean_tx_gas), times.shape)
-        else:
-            gas = np.insert(stat_gas, at, inj_gas)
         injected_map = {
-            new: Transaction(new, tx.sender, tx.gas, tx.size_kb, tx.payload)
+            new: Transaction(new, tx.sender, tx.gas, tx.payload)
             for new, (_, _, tx) in zip((at + np.arange(len(inj))).tolist(), inj)
         }
     else:
-        times, origins, gas = stat_times, stat_origins, stat_gas
+        times, origins = stat_times, stat_origins
         injected_map = {}
+    # One stored value, read-only: nothing writes a table's gas column.
+    gas = np.broadcast_to(np.int64(config.mean_tx_gas), times.shape)
     return TxTable(times=times, origins=origins, gas=gas, injected=injected_map)
 
 
@@ -347,9 +333,8 @@ class NodeState:
       assignment as that cut-off moves forward. ``cut_own`` bounds the own
       ids that have arrived by now; ids from it on are not read.
     * ``fill`` takes the ids below ``cut_own`` that are delivered and not in
-      the chain, in id (arrival) order, and stops at the first one that
-      does not fit. A zero-stride gas column (one value for every id) is
-      filled by count; any other by a prefix sum.
+      the chain, in id (arrival) order, as many as fit: every id carries
+      the same gas, so the block is filled by count.
 
     So the pool is delivered minus on-chain by construction: when a reorg
     abandons a block, its ids return to every node that had them delivered.
@@ -405,17 +390,14 @@ class NodeState:
         elif len(tx_ids):
             self.low = min(self.low, int(tx_ids[0]))
 
-    def fill(self, gas: np.ndarray, gas_limit: int) -> tuple[np.ndarray, int]:
-        """Available ids in arrival order, as one ``intp`` array, up to the
-        first that would push the gas sum past ``gas_limit``; the pool
-        itself is not changed."""
+    def fill(self, unit: int, gas_limit: int) -> tuple[np.ndarray, int]:
+        """Available ids in arrival order, as one ``intp`` array, as many
+        of them as ``gas_limit`` holds at ``unit`` gas each, and their gas;
+        the pool itself is not changed."""
         delivered, in_chain = self.delivered, self.in_chain
         cut_all, end = self.cut_all, self.cut_own
-        # One gas value for every id: a chunk's first k ids fit exactly
-        # when k of them do, so no prefix sum is needed.
-        unit = int(gas[0]) if end and not gas.strides[0] else 0
+        room = gas_limit // unit
         taken: list[np.ndarray] = []
-        total = 0
         start = self.low
         while start < end:
             stop = min(start + FILL_CHUNK, end)
@@ -424,21 +406,19 @@ class NodeState:
                 # Ids before the first free one are in the chain. Stop at
                 # cut_all: foreign ids past it are not delivered yet.
                 self.low = min(int(ids[0]) if len(ids) else stop, cut_all)
-            if unit:
-                k = min(len(ids), (gas_limit - total) // unit)
-            else:
-                cum = gas[ids].cumsum()
-                k = int(cum.searchsorted(gas_limit - total, "right"))
+            k = min(len(ids), room)
             if k:
                 # A copy, so that the block does not keep the chunk alive.
                 taken.append(ids if k == len(ids) else ids[:k].copy())
-                total += k * unit if unit else int(cum[k - 1])
+                room -= k
             if k < len(ids):
                 break
             start = stop
         if len(taken) == 1:
-            return taken[0], total
-        return np.concatenate(taken) if taken else np.empty(0, dtype=np.intp), total
+            ids = taken[0]
+        else:
+            ids = np.concatenate(taken) if taken else np.empty(0, dtype=np.intp)
+        return ids, len(ids) * unit
 
 
 @dataclass
@@ -578,7 +558,7 @@ class Simulation:
         difficulty = compute_difficulty(self.params, parent, parent.number + 1, timestamp)
         uncles = eligible_uncles(tree, parent.block_id, node.known)
         node.catch_up(now, self.config.propagation_delay)
-        id_array, gas_used = node.fill(self.table.gas, self.config.block_gas_limit)
+        id_array, gas_used = node.fill(self.config.mean_tx_gas, self.config.block_gas_limit)
         # ``fill`` gives ascending unique ids, so they form one range exactly
         # when their span equals their count; a range is digested without
         # formatting each id, and its flags are flipped by slice.

@@ -18,9 +18,7 @@ def addr(tag: str) -> Address:
 
 
 def tx(tx_id: int, gas: int = 45_000, sender: str = "a", payload=None) -> Transaction:
-    return Transaction(
-        tx_id=tx_id, sender=addr(sender), gas=gas, size_kb=0.759808, payload=payload
-    )
+    return Transaction(tx_id=tx_id, sender=addr(sender), gas=gas, payload=payload)
 
 
 def extend(tree: BlockTree, parent, difficulty: int, *, ts=None, miner=0,

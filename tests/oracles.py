@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from gridchain.chain import TX_SIZE_KB, Address, Block, BlockHeader, BlockTree, Transaction
+from gridchain.chain import Address, Block, BlockHeader, BlockTree, Transaction
 from gridchain.consensus import (
     MAX_UNCLE_GENERATIONS,
     MAX_UNCLES_PER_BLOCK,
@@ -44,7 +44,7 @@ def generate_tx_arrivals(
     table = build_tx_table(config, rng)
     for i in range(table.count):
         tx = Transaction(tx_id=i, sender=node_address(int(table.origins[i])),
-                         gas=int(table.gas[i]), size_kb=TX_SIZE_KB)
+                         gas=int(table.gas[i]))
         yield float(table.times[i]), tx
 
 

@@ -354,13 +354,13 @@ def _replay_two_delivery_orders() -> tuple[str, str]:
     config = SimConfig(lambda_=2, num_nodes=3, tx_rate=0.0, sim_duration=60.0,
                        warmup_blocks=0, seed=17)
     calls = [
-        (0.5, 0, Transaction(0, OWNER, 45_000, 0.76, payload=ContractCall(CallKind.DEPLOY))),
-        (0.6, 0, Transaction(0, OWNER, 45_000, 0.76,
+        (0.5, 0, Transaction(0, OWNER, 45_000, payload=ContractCall(CallKind.DEPLOY))),
+        (0.6, 0, Transaction(0, OWNER, 45_000,
                              payload=ContractCall(CallKind.ADD_ACC, addr=ACCOUNTS[1]))),
-        (0.7, 0, Transaction(0, ACCOUNTS[1], 45_000, 0.76,
+        (0.7, 0, Transaction(0, ACCOUNTS[1], 45_000,
                              payload=ContractCall(CallKind.NEW_RECO, record_id=b"r1",
                                                   record_time=b"t1", record_value=b"v1"))),
-        (0.8, 0, Transaction(0, ACCOUNTS[2], 45_000, 0.76,
+        (0.8, 0, Transaction(0, ACCOUNTS[2], 45_000,
                              payload=ContractCall(CallKind.NEW_RECO, record_id=b"r2",
                                                   record_time=b"t2", record_value=b"v2"))),
     ]

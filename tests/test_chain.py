@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from gridchain.chain import (
     Address,
     BlockTree,
-    Transaction,
     UnknownBlock,
     UnknownParent,
     assemble_block,
@@ -35,8 +34,6 @@ def test_address_rejects_wrong_length():
 def test_transaction_rejects_nonpositive_gas_and_size():
     with pytest.raises(ValueError):
         tx(1, gas=0)
-    with pytest.raises(ValueError):
-        Transaction(tx_id=1, sender=Address(b"\x01" * 20), gas=1, size_kb=0.0)
 
 
 def test_insert_genesis_child_total_difficulty(tree, genesis):

@@ -106,9 +106,8 @@ class TestParseConfig:
             assert flag in option_strings
 
     def test_options_set_every_config_field_once(self):
-        # The gas sampler is a callable, which no flag or file can hold.
         targets = [field for _, field, _ in cli.OPTIONS.values() if field is not None]
-        fields = {f.name for f in dataclasses.fields(SimConfig)} - {"tx_gas_sampler"}
+        fields = {f.name for f in dataclasses.fields(SimConfig)}
         assert len(targets) == len(set(targets))
         assert set(targets) == fields
 

@@ -101,7 +101,7 @@ def test_records_stored_verbatim_and_immutable():
 
 def _call_tx(tx_id, sender, call):
     return tx(tx_id, sender="ignored", payload=call).__class__(
-        tx_id=tx_id, sender=sender, gas=45_000, size_kb=0.76, payload=call
+        tx_id=tx_id, sender=sender, gas=45_000, payload=call
     )
 
 

@@ -334,17 +334,9 @@ class TestRecordTx:
         rng = random.Random(11)
         acct = MeterAccount.generate("SM-01", rng)
         rec = MeterRecord("SM-01", 1622966400, Decimal("12.5"))
-        tx = build_record_tx(encrypt_record(rec, acct.key, rng), acct.address)
-        assert tx.size_kb == pytest.approx(0.759808)
+        tx = build_record_tx(encrypt_record(rec, acct.key, rng), acct.address, 45_000)
         assert tx.payload.kind is CallKind.NEW_RECO
         assert tx.sender == acct.address
-
-    def test_oversized_field_grows_size(self):
-        rng = random.Random(12)
-        acct = MeterAccount.generate("SM-01", rng)
-        rec = MeterRecord("SM-" + "x" * 2000, 1622966400, Decimal("1"))
-        tx = build_record_tx(encrypt_record(rec, acct.key, rng), acct.address)
-        assert tx.size_kb > 0.759808
 
     def test_pack_unpack_roundtrip(self):
         rng = random.Random(13)
@@ -357,7 +349,7 @@ class TestRecordTx:
         rng = random.Random(14)
         acct = MeterAccount.generate("SM-01", rng)
         rec = MeterRecord("SM-01", 1622966402, Decimal("0.001"))
-        tx = build_record_tx(encrypt_record(rec, acct.key, rng), acct.address)
+        tx = build_record_tx(encrypt_record(rec, acct.key, rng), acct.address, 45_000)
         call = tx.payload
         enc = unpack_record_fields(call.record_id, call.record_time, call.record_value)
         assert decrypt_record(enc, acct.key) == rec

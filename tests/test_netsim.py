@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridchain import netsim
-from gridchain.chain import TX_SIZE_KB, BlockTree, Transaction, make_block, make_genesis
+from gridchain.chain import BlockTree, Transaction, make_block, make_genesis
 from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head, validate_header
 from gridchain.contract import CallKind, ContractCall, dump_state, replay_chain
 from gridchain.metrics import ChainTooShort
@@ -118,16 +118,6 @@ class TestConfigValidation:
                            sim_duration=10.0)
         with pytest.raises(InvalidConfig, match="total_hashrate must be positive and finite"):
             config.validate()
-
-    def test_sampled_gas_above_gas_limit_rejected(self):
-        def sampler(rng, n):
-            gas = rng.integers(40_000, 50_001, size=n)
-            gas[3] = 20_000_000
-            return gas
-
-        config = SimConfig(lambda_=3, sim_duration=300.0, tx_gas_sampler=sampler)
-        with pytest.raises(InvalidConfig, match="block gas limit"):
-            run_simulation(config, 0)
 
 
 class TestMiningTime:
@@ -341,8 +331,7 @@ class TestPool:
         num_nodes=st.integers(1, 4),
         tx_rate=st.just(0.0) | st.floats(1.0, 40.0),
         delay=st.floats(0.0, 3.0),
-        gas_range=st.tuples(st.integers(1_000, 60_000), st.integers(0, 60_000)),
-        one_value=st.booleans(),
+        tx_gas=st.integers(1_000, 60_000),
         gas_limit=st.integers(45_000, 600_000),
         steps=st.lists(
             st.tuples(st.floats(0.0, 10.0), st.sets(st.integers(0, 400), max_size=40),
@@ -352,21 +341,11 @@ class TestPool:
         data=st.data(),
     )
     def test_fill_matches_object_level_oracle(self, seed, num_nodes, tx_rate, delay,
-                                              gas_range, one_value, gas_limit, steps, chunk,
-                                              data):
-        lo, span = gas_range
-
-        def sampler(rng, n):
-            return rng.integers(lo, lo + span + 1, size=n)
-
-        # Without a sampler every id carries ``lo``: a zero-stride column,
-        # filled by count.
+                                              tx_gas, gas_limit, steps, chunk, data):
         config = SimConfig(num_nodes=num_nodes, hash_shares=None, tx_rate=tx_rate,
                            propagation_delay=delay, sim_duration=40.0, seed=seed,
-                           mean_tx_gas=lo, tx_gas_sampler=None if one_value else sampler)
+                           mean_tx_gas=tx_gas)
         sim = Simulation(config, 0)
-        column = sim.table.gas
-        assert (column.strides == (0,)) == (one_value or not sim.table.count)
         node = sim.nodes[data.draw(st.integers(0, num_nodes - 1))]
         stream = list(generate_tx_arrivals(config, np.random.default_rng([seed, 0])))
         own = node_address(node.index)
@@ -385,12 +364,10 @@ class TestPool:
                     and tx.tx_id not in on_chain]
             expected = fill_block(pool, gas_limit)
             with mock.patch.object(netsim, "FILL_CHUNK", chunk):
-                ids, gas_used = node.fill(column, gas_limit)
-                dense_ids, dense_gas_used = node.fill(np.array(column), gas_limit)
+                ids, gas_used = node.fill(tx_gas, gas_limit)
             assert ids.dtype == np.intp
             assert ids.tolist() == [tx.tx_id for tx in expected]
             assert gas_used == sum(tx.gas for tx in expected)
-            assert dense_ids.tolist() == ids.tolist() and dense_gas_used == gas_used
             assert pending_ids(node) == {tx.tx_id for tx in pool}
             if mine:  # the filled block joins the chain
                 node.set_in_chain(ids, 1)
@@ -837,22 +814,16 @@ class TestDelivery:
         lambda_=st.integers(1, 4),
         delay=st.floats(0.0, 2.0),
         tx_rate=st.floats(0.0, 30.0),
-        gas_range=st.tuples(st.integers(1_000, 60_000), st.integers(0, 200_000)),
+        tx_gas=st.integers(1_000, 300_000),
         duration=st.floats(20.0, 150.0),
     )
     def test_matches_per_receiver_oracle(self, seed, weights, lambda_, delay, tx_rate,
-                                         gas_range, duration):
-        lo, span = gas_range
-
-        def sampler(rng, n):
-            return rng.integers(lo, lo + span + 1, size=n)
-
+                                         tx_gas, duration):
         config = SimConfig(lambda_=lambda_, num_nodes=len(weights),
                            hash_shares=tuple(w / sum(weights) for w in weights),
                            propagation_delay=delay, tx_rate=tx_rate,
-                           block_gas_limit=300_000, mean_tx_gas=lo,
-                           sim_duration=duration, warmup_blocks=3, seed=seed,
-                           tx_gas_sampler=sampler)
+                           block_gas_limit=300_000, mean_tx_gas=tx_gas,
+                           sim_duration=duration, warmup_blocks=3, seed=seed)
         assert _traced_run(Simulation, config) == _traced_run(PerReceiverSimulation, config)
 
     def test_each_header_is_validated_once(self):
@@ -1027,24 +998,15 @@ class TestHeadersOnDrawnConfigs:
         tx_rate=st.floats(0.0, 30.0),
         duration=st.floats(20.0, 400.0),
         seed=st.integers(0, 2**16),
-        # None, or uniform integer gas in [lo, hi] with hi <= the gas limit.
-        gas_range=st.none() | st.lists(st.integers(1, 15_000_000), min_size=2,
-                                       max_size=2).map(sorted),
+        # The default, or any gas up to the gas limit.
+        tx_gas=st.just(45_000) | st.integers(1, 15_000_000),
     )
     def test_every_block_passes_validate_header_in_a_fresh_tree(
-            self, num_nodes, weights, delay, lambda_, tx_rate, duration, seed, gas_range):
-        if gas_range is None:
-            sampler = None
-        else:
-            lo, hi = gas_range
-
-            def sampler(rng, n):
-                return rng.integers(lo, hi + 1, size=n)
-
+            self, num_nodes, weights, delay, lambda_, tx_rate, duration, seed, tx_gas):
         shares = tuple(w / sum(weights[:num_nodes]) for w in weights[:num_nodes])
         config = SimConfig(lambda_=lambda_, num_nodes=num_nodes, hash_shares=shares,
                            propagation_delay=delay, tx_rate=tx_rate, sim_duration=duration,
-                           warmup_blocks=0, seed=seed, tx_gas_sampler=sampler)
+                           warmup_blocks=0, seed=seed, mean_tx_gas=tx_gas)
         sim = Simulation(config, 0)
         try:
             stats = sim.run().stats
@@ -1072,9 +1034,9 @@ class TestInjectedTransactions:
     def test_payload_rides_through_to_replay(self):
         owner = addr("owner")
         calls = [
-            (1.0, 0, Transaction(0, owner, 45_000, 0.76,
+            (1.0, 0, Transaction(0, owner, 45_000,
                                  payload=ContractCall(CallKind.DEPLOY))),
-            (2.0, 1, Transaction(0, owner, 45_000, 0.76,
+            (2.0, 1, Transaction(0, owner, 45_000,
                                  payload=ContractCall(
                                      CallKind.NEW_RECO, record_id=b"i",
                                      record_time=b"t", record_value=b"v"))),
@@ -1091,10 +1053,10 @@ class TestInjectedTransactions:
         record = ContractCall(CallKind.NEW_RECO, record_id=b"i", record_time=b"t",
                               record_value=b"v")
         calls = [
-            (1.0, 0, Transaction(0, owner, 45_000, 0.76, payload=ContractCall(CallKind.DEPLOY))),
-            (2.0, 1, Transaction(0, stranger, 45_000, 0.76, payload=record)),  # refused
-            (3.0, 2, Transaction(0, owner, 45_000, 0.76, payload=record)),
-            (4.0, 0, Transaction(0, owner, 45_000, 0.76, payload=None)),
+            (1.0, 0, Transaction(0, owner, 45_000, payload=ContractCall(CallKind.DEPLOY))),
+            (2.0, 1, Transaction(0, stranger, 45_000, payload=record)),  # refused
+            (3.0, 2, Transaction(0, owner, 45_000, payload=record)),
+            (4.0, 0, Transaction(0, owner, 45_000, payload=None)),
         ]
         config = small_config(tx_rate=5.0, sim_duration=150.0)
         result = run_simulation(config, 0, injected=calls)
@@ -1102,7 +1064,7 @@ class TestInjectedTransactions:
 
         def every_tx(i):  # the injected object, or a payload-less stand-in
             return table.injected.get(i) or Transaction(
-                i, node_address(int(table.origins[i])), int(table.gas[i]), TX_SIZE_KB)
+                i, node_address(int(table.origins[i])), int(table.gas[i]))
 
         scanned = [make_block(b.number, b.header.parent_id, b.header.miner,
                               b.header.difficulty, b.header.timestamp,
@@ -1117,7 +1079,7 @@ class TestInjectedTransactions:
 
     def test_blocks_hold_their_injected_transactions(self):
         owner = addr("owner")
-        calls = [(0.5 + 3.0 * k, k % 3, Transaction(0, owner, 45_000, 0.76, payload=None))
+        calls = [(0.5 + 3.0 * k, k % 3, Transaction(0, owner, 45_000, payload=None))
                  for k in range(40)]
         config = small_config(tx_rate=20.0, sim_duration=150.0, propagation_delay=1.0)
         result = run_simulation(config, 0, injected=calls)
@@ -1134,7 +1096,7 @@ class TestInjectedTransactions:
 
     def test_injected_renumbered_in_arrival_order(self):
         owner = addr("owner")
-        inj = [(10.0, 0, Transaction(0, owner, 45_000, 0.76, payload=None))]
+        inj = [(10.0, 0, Transaction(0, owner, 45_000, payload=None))]
         config = small_config(tx_rate=2.0, sim_duration=60.0)
         sim = Simulation(config, 0, injected=inj)
         table = sim.table
@@ -1144,17 +1106,18 @@ class TestInjectedTransactions:
         assert table.injected[i].tx_id == i
         assert float(table.times[i]) == 10.0
 
-    @pytest.mark.parametrize("time, origin, message", [
-        (10.0, 3, "origin 3 is not a node below 3"),
-        (10.0, -1, "origin -1 is not a node below 3"),
-        (math.nan, 0, "time nan must be finite"),
-        (math.inf, 0, "time inf must be finite"),
-        (-5.0, 0, r"time -5.0 must be finite and >= 0"),
+    @pytest.mark.parametrize("time, origin, gas, message", [
+        (10.0, 3, 45_000, "origin 3 is not a node below 3"),
+        (10.0, -1, 45_000, "origin -1 is not a node below 3"),
+        (math.nan, 0, 45_000, "time nan must be finite"),
+        (math.inf, 0, 45_000, "time inf must be finite"),
+        (-5.0, 0, 45_000, r"time -5.0 must be finite and >= 0"),
+        (10.0, 0, 21_000, "injected transaction 1: gas 21000 is not mean_tx_gas 45000"),
     ], ids=["origin-past-last-node", "origin-negative", "time-nan", "time-inf",
-            "time-negative"])
-    def test_injected_origin_and_time_must_be_placeable(self, time, origin, message):
+            "time-negative", "gas-not-mean"])
+    def test_injected_origin_and_time_must_be_placeable(self, time, origin, gas, message):
         config = small_config(tx_rate=2.0, sim_duration=60.0)
-        inj = [(1.0, 0, tx(0)), (time, origin, tx(1))]
+        inj = [(1.0, 0, tx(0)), (time, origin, tx(1, gas=gas))]
         with pytest.raises(InvalidConfig, match=message):
             build_tx_table(config, np.random.default_rng(3), inj)
         with pytest.raises(InvalidConfig, match=message):
@@ -1199,12 +1162,13 @@ class TestInjectedTransactions:
             st.floats(0.0, 2 * config.sim_duration),
         )
         drawn = data.draw(st.lists(
-            st.tuples(times, st.integers(0, config.num_nodes - 1), st.integers(1, 10**6)),
+            st.tuples(times, st.integers(0, config.num_nodes - 1)),
             max_size=25,
         ))
         injected = [
-            (t, origin, tx(1000 + k, gas=gas, sender=f"m{k % 3}", payload=("record", k)))
-            for k, (t, origin, gas) in enumerate(drawn)
+            (t, origin, tx(1000 + k, gas=config.mean_tx_gas, sender=f"m{k % 3}",
+                           payload=("record", k)))
+            for k, (t, origin) in enumerate(drawn)
         ]
         got = build_tx_table(config, np.random.default_rng(seed), injected)
         want = build_tx_table_argsort(config, np.random.default_rng(seed), injected)
@@ -1220,60 +1184,45 @@ class TestInjectedTransactions:
 
 
 class TestUniformGas:
-    """A gas column that holds one value stays a zero-stride view, is filled
-    by count, and gives what the same values materialised give."""
-
-    @staticmethod
-    def fixed_gas(rng, n):
-        return np.full(n, 45_000)  # draws nothing from ``rng``
+    """The gas column is one value as a zero-stride view, and a block's ids
+    are claimed by slice when they form one range."""
 
     @pytest.mark.parametrize("lambda_, records, claim", [
         (1, 0, np.ndarray),  # blocks mostly take scattered ids
         (3, 0, slice),       # a saturated pool: blocks mostly take one range
         (3, 60, slice),
     ])
-    def test_count_fill_matches_prefix_sum_fill(self, lambda_, records, claim):
+    def test_blocks_claim_by_index_array_or_slice(self, lambda_, records, claim):
         owner = addr("owner")
-        injected = [(0.5 + 5.0 * k, k % 3, Transaction(0, owner, 45_000, TX_SIZE_KB))
+        injected = [(0.5 + 5.0 * k, k % 3, Transaction(0, owner, 45_000))
                     for k in range(records)]
         config = SimConfig(lambda_=lambda_, sim_duration=300.0, warmup_blocks=10, seed=7)
-        by_count = Simulation(config, 0, injected, trace=io.StringIO())
-        by_prefix = Simulation(dataclasses.replace(config, tx_gas_sampler=self.fixed_gas), 0,
-                               injected, trace=io.StringIO())
-        assert by_count.table.gas.strides == (0,)
-        assert by_prefix.table.gas.strides != (0,)
-        assert _run_outcome(by_count) == _run_outcome(by_prefix)
-        kinds = [type(ids) for ids in by_count.tx_arrays.values()]
+        sim = Simulation(config, 0, injected)
+        sim.run()
+        assert sim.table.gas.strides == (0,)
+        kinds = [type(ids) for ids in sim.tx_arrays.values()]
         assert kinds.count(claim) > len(kinds) / 2
-        assert len(by_count.table.injected) == records
+        assert len(sim.table.injected) == records
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         rate=st.sampled_from([0.0, 0.3, 4.0]),
-        sampled=st.booleans(),
-        data=st.data(),
+        mean=st.integers(1, 15_000_000),
+        times=st.lists(st.floats(0.0, 40.0), max_size=8),
     )
-    def test_column_stays_one_value_through_a_matching_injection(self, seed, rate, sampled,
-                                                                  data):
-        mean = 45_000
-        config = small_config(tx_rate=rate, sim_duration=20.0, mean_tx_gas=mean,
-                              tx_gas_sampler=self.fixed_gas if sampled else None)
+    def test_column_stays_one_value_through_a_matching_injection(self, seed, rate, mean,
+                                                                  times):
+        config = small_config(tx_rate=rate, sim_duration=20.0, mean_tx_gas=mean)
         generated = build_tx_table(config, np.random.default_rng(seed))
-        drawn = data.draw(st.lists(
-            st.tuples(st.floats(0.0, 2 * config.sim_duration), st.sampled_from([mean, 21_000])),
-            max_size=8,
-        ))
-        injected = [(t, k % 3, tx(k, gas=gas)) for k, (t, gas) in enumerate(drawn)]
+        injected = [(t, k % 3, tx(k, gas=mean)) for k, t in enumerate(times)]
         table = build_tx_table(config, np.random.default_rng(seed), injected)
-        # The column's values as one np.insert of the injected gas would give.
-        inj = sorted(injected, key=lambda item: item[0])
-        at = generated.times.searchsorted([item[0] for item in inj], "right")
-        inserted = np.insert(generated.gas, at, [item[2].gas for item in inj])
-        one_value = not (sampled and generated.count) and all(g == mean for _, g in drawn)
-        assert (table.gas.strides == (0,)) == one_value
-        assert table.gas.dtype == inserted.dtype
-        assert np.array_equal(table.gas, inserted)
+        assert table.count == generated.count + len(times)
+        assert table.gas.strides == (0,)
+        assert table.gas.shape == (table.count,)
+        assert table.gas.dtype == np.int64
+        assert not table.gas.flags.writeable
+        assert (table.gas == mean).all()
 
 
 class TestRunMany:
