@@ -44,6 +44,10 @@ EXIT_RUNTIME = 3
 OUTPUT_DIR_ENV = "GRIDCHAIN_OUT_DIR"
 
 MODES = ("single", "sweep", "mainnet-compare", "e2e-demo")
+# The output file a mode writes when --out is not given; e2e-demo writes
+# none then.
+DEFAULT_OUTPUT = {"single": "single.csv", "sweep": "sweep.csv",
+                  "mainnet-compare": "mainnet_compare.csv"}
 
 # Published operating point of a three-node public-network simulation used
 # as a directional comparison: ~14.05 tx/s at a ~17.5% uncle rate.
@@ -76,12 +80,16 @@ class ExperimentSpec:
             raise InvalidConfig("sweep mode needs a non-empty --sweep list")
         if self.trace and self.mode not in ("single", "mainnet-compare"):
             raise InvalidConfig(f"--trace applies to single and mainnet-compare, not {self.mode}")
+        if self.sweep_lambdas and self.mode != "sweep":
+            raise InvalidConfig(f"--sweep applies to sweep mode, not {self.mode}")
+        if self.meter_stream_file is not None and self.mode != "e2e-demo":
+            raise InvalidConfig(f"--meter-file applies to e2e-demo, not {self.mode}")
         if self.workers < 1:
             raise InvalidConfig("workers must be >= 1")
         if self.meter_interval_s < 1:
             raise InvalidConfig("meter interval must be >= 1 second")
         self.config.validate()
-        for lam in self.sweep_lambdas if self.mode == "sweep" else ():
+        for lam in self.sweep_lambdas:
             dataclasses.replace(self.config, lambda_=lam).validate()
 
 
@@ -195,10 +203,13 @@ def parse_config(argv: list[str] | None = None) -> ExperimentSpec:
     )
 
 
-def _resolve_output(spec: ExperimentSpec, default_name: str) -> Path:
+def _resolve_output(spec: ExperimentSpec) -> Path | None:
+    """The file the mode writes (its traces go beside it), or None."""
     if spec.output_path is not None:
         return Path(spec.output_path)
-    return Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / default_name
+    if spec.mode == "e2e-demo":
+        return None
+    return Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / DEFAULT_OUTPUT[spec.mode]
 
 
 def _progress(message: str) -> None:
@@ -243,7 +254,7 @@ def run_sweep(spec: ExperimentSpec) -> Path:
     configs = [dataclasses.replace(spec.config, lambda_=int(lam))
                for lam in spec.sweep_lambdas]
     points = [_aggregate(run_many(config, workers=spec.workers), config) for config in configs]
-    return _write_csv(_resolve_output(spec, "sweep.csv"), points)
+    return _write_csv(_resolve_output(spec), points)
 
 
 def run_single(spec: ExperimentSpec) -> Path:
@@ -253,7 +264,7 @@ def run_single(spec: ExperimentSpec) -> Path:
     come from those same runs."""
     mainnet = spec.mode == "mainnet-compare"
     config = dataclasses.replace(spec.config, **MAINNET_PRESET) if mainnet else spec.config
-    out = _resolve_output(spec, "mainnet_compare.csv" if mainnet else "single.csv")
+    out = _resolve_output(spec)
     if spec.trace:
         stats = []
         for idx in range(config.num_runs):
@@ -391,6 +402,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = parse_config(argv)
         spec.validate()
+        out = _resolve_output(spec)
+        if out is not None and not out.parent.is_dir():
+            raise InvalidConfig(f"output directory {out.parent} does not exist")
         if spec.mode == "sweep":
             run_sweep(spec)
         elif spec.mode != "e2e-demo":
@@ -400,10 +414,8 @@ def main(argv: list[str] | None = None) -> int:
             for line in report.lines():
                 print(line)
             _note_clamped_warmup([report.stats], spec.config.warmup_blocks, "e2e-demo")
-            if spec.output_path is not None:
-                Path(spec.output_path).write_text(
-                    "\n".join(report.lines()) + "\n", encoding="utf-8"
-                )
+            if out is not None:
+                out.write_text("\n".join(report.lines()) + "\n", encoding="utf-8")
     except (ConfigFileError, InvalidConfig, ChainTooShort, MeterStreamError) as exc:
         print(f"gridchain: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,7 +28,7 @@ class MetricsError(Exception):
 
 
 class ChainTooShort(MetricsError):
-    """Fewer than two post-warm-up canonical blocks: no interval defined."""
+    """A canonical chain of fewer than two blocks: no interval defined."""
 
 
 class EmptyInput(MetricsError):
@@ -55,9 +55,9 @@ class RunStats:
     confirmed_tx: int
     pending_tx: int
     warmup_blocks_discarded: int
-    # Conservation partition over every generated transaction (whole run,
+    # Conservation partition over every generated transaction (whole chain,
     # not just the post-warm-up segment): confirmed + pending + uncle-only.
-    # A simulator run counts every id off node 0's chain as pending: uncle-only is 0.
+    # compute_run_stats counts every id off the chain as pending: uncle-only is 0.
     generated_tx: int = 0
     confirmed_tx_total: int = 0
     uncle_only_tx: int = 0
@@ -87,31 +87,27 @@ class SweepPoint:
         return self.stats[name].std
 
 
-def compute_run_stats(
-    tree: BlockTree,
-    head: str,
-    duration: float,
-    warmup: int,
-    pending_tx: int = 0,
-    generated_tx: int = 0,
-    confirmed_tx_total: int = 0,
-    uncle_only_tx: int = 0,
-) -> RunStats:
-    """Statistics over the post-warm-up canonical segment ending at ``head``.
+def compute_run_stats(tree: BlockTree, head: str, warmup: int, generated_tx: int) -> RunStats:
+    """Statistics of the canonical chain ending at ``head``, ``generated_tx``
+    transactions having been created: how every run is measured.
 
-    ``duration`` is the configured run length; the measured denominator is
-    timestamp time between the first post-warm-up block and the head.
+    The window leaves out the first ``warmup`` blocks, clamped to
+    ``len(chain) - 2`` so that a short chain still measures two blocks;
+    ``warmup_blocks_discarded`` reports the warm-up applied. Its time is
+    timestamp time from its first block to the head. The conservation
+    partition covers the whole chain: ``confirmed_tx_total`` counts its
+    transactions and every other generated id is pending, so
+    ``uncle_only_tx`` is 0. A chain of fewer than two blocks has no interval
+    and raises ChainTooShort.
     """
     chain = tree.canonical_chain(head)
-    if warmup >= len(chain):
-        raise ChainTooShort(
-            f"warm-up of {warmup} blocks leaves nothing of a {len(chain)}-block chain"
-        )
-    segment = chain[warmup:]
-    if len(segment) < 2:
+    if len(chain) < 2:
         raise ChainTooShort("need at least two post-warm-up blocks for an interval")
+    warmup = min(warmup, len(chain) - 2)
+    segment = chain[warmup:]
     span = segment[-1].header.timestamp - segment[0].header.timestamp
     confirmed = sum(len(b.tx_ids) for b in segment)
+    confirmed_total = sum(len(b.tx_ids) for b in chain)
     included_uncles = sum(len(b.header.uncle_ids) for b in segment)
     canonical_blocks = len(segment)
 
@@ -129,11 +125,10 @@ def compute_run_stats(
         included_uncles=included_uncles,
         orphaned_blocks=orphaned,
         confirmed_tx=confirmed,
-        pending_tx=pending_tx,
+        pending_tx=generated_tx - confirmed_total,
         warmup_blocks_discarded=warmup,
         generated_tx=generated_tx,
-        confirmed_tx_total=confirmed_tx_total,
-        uncle_only_tx=uncle_only_tx,
+        confirmed_tx_total=confirmed_total,
     )
 
 

@@ -687,7 +687,6 @@ class Simulation:
                 self.on_block_mined(index, time)
 
     def run(self) -> RunResult:
-        duration = self.config.sim_duration
         for node in self.nodes:
             self._schedule_mining(node, 0.0)
         self._process_events()
@@ -695,23 +694,9 @@ class Simulation:
 
         node0 = self.nodes[0]
         head0 = node0.head_block.block_id
-        chain = self.tree.canonical_chain(head0)
-        chain_tx = sum(len(b.tx_ids) for b in chain)
-        confirmed_total = int(np.count_nonzero(node0.in_chain))
-        if chain_tx != confirmed_total:
+        stats = compute_run_stats(self.tree, head0, self.config.warmup_blocks, self.table.count)
+        if stats.confirmed_tx_total != np.count_nonzero(node0.in_chain):
             raise AssertionError("a transaction appears twice on the canonical chain")
-        generated = self.table.count
-        # Every generated id off node 0's chain counts as pending, delivered
-        # or not, so none is left only on a stale block: uncle-only is zero.
-        stats = compute_run_stats(
-            self.tree,
-            head0,
-            duration,
-            warmup=min(self.config.warmup_blocks, max(0, len(chain) - 2)),
-            pending_tx=generated - confirmed_total,
-            generated_tx=generated,
-            confirmed_tx_total=confirmed_total,
-        )
         return RunResult(
             trees=[n.tree for n in self.nodes],
             heads=[n.head_block.block_id for n in self.nodes],

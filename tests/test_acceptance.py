@@ -65,11 +65,7 @@ def _sweep_run(job: tuple[SimConfig, int]) -> tuple[RunStats, RunStats]:
     config, run_index = job
     result = run_simulation(config, run_index)
     s = result.stats
-    raw = compute_run_stats(
-        result.tree, result.head, config.sim_duration, warmup=0,
-        pending_tx=s.pending_tx, generated_tx=s.generated_tx,
-        confirmed_tx_total=s.confirmed_tx_total, uncle_only_tx=s.uncle_only_tx,
-    )
+    raw = compute_run_stats(result.tree, result.head, warmup=0, generated_tx=s.generated_tx)
     return s, raw
 
 

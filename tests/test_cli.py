@@ -199,6 +199,57 @@ class TestMainExitCodes:
         runs.assert_not_called()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--mode", "single", "--sweep", "1,2"], "--sweep applies to sweep mode, not single"),
+        (["--mode", "mainnet-compare", "--sweep", "1,2"],
+         "--sweep applies to sweep mode, not mainnet-compare"),
+        (["--mode", "e2e-demo", "--sweep", "1,2"], "--sweep applies to sweep mode, not e2e-demo"),
+        (["--mode", "single", "--meter-file", "nope.csv"],
+         "--meter-file applies to e2e-demo, not single"),
+        (["--mode", "sweep", "--sweep", "1", "--meter-file", "nope.csv"],
+         "--meter-file applies to e2e-demo, not sweep"),
+    ])
+    def test_option_the_mode_ignores_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                      flags, reason):
+        monkeypatch.chdir(tmp_path)
+        with mock.patch.object(Simulation, "run", autospec=True,
+                               side_effect=Simulation.run) as runs:
+            assert main(flags + ["--duration", "60", "--runs", "1"]) == EXIT_CONFIG
+        assert reason in capsys.readouterr().err
+        runs.assert_not_called()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [
+        ["--out", "{missing}/x.csv"],
+        ["--out", "{missing}/x.csv", "--trace"],
+        ["--mode", "sweep", "--sweep", "1,2", "--out", "{missing}/x.csv"],
+        ["--mode", "mainnet-compare", "--out", "{missing}/x.csv"],
+        ["--mode", "e2e-demo", "--out", "{missing}/demo.txt"],
+        ["--env-out-dir"],
+        ["--env-out-dir", "--mode", "sweep", "--sweep", "1,2"],
+    ])
+    def test_missing_output_directory_is_config_error_before_the_first_run(
+            self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        missing = tmp_path / "no-such-dir"
+        if flags[0] == "--env-out-dir":
+            monkeypatch.setenv("GRIDCHAIN_OUT_DIR", str(missing))
+            flags = flags[1:]
+        with mock.patch.object(Simulation, "run", autospec=True,
+                               side_effect=Simulation.run) as runs:
+            code = main([f.format(missing=missing) for f in flags]
+                        + ["--duration", "60", "--runs", "1"])
+        assert code == EXIT_CONFIG
+        assert f"output directory {missing} does not exist" in capsys.readouterr().err
+        runs.assert_not_called()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_demo_without_out_ignores_the_output_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GRIDCHAIN_OUT_DIR", str(tmp_path / "no-such-dir"))
+        assert main(["--mode", "e2e-demo", "--duration", "60"]) == EXIT_OK
+        assert list(tmp_path.iterdir()) == []
+
     def test_argparse_rejects_bad_flag_value(self):
         with pytest.raises(SystemExit) as err:
             parse_config(["--runs", "many"])

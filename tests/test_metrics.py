@@ -53,7 +53,7 @@ class TestComputeRunStats:
         # timestamps 0..300 step 3, 30 txs per non-genesis block:
         # interval 300/100 = 3.0 s, throughput 3000/300 = 10 tx/s
         tree, head = linear_chain(101)
-        got = compute_run_stats(tree, head, duration=300.0, warmup=0)
+        got = compute_run_stats(tree, head, warmup=0, generated_tx=3000)
         assert got.mean_block_interval == pytest.approx(3.0)
         assert got.throughput == pytest.approx(10.0)
         assert got.uncle_rate == 0.0
@@ -71,7 +71,7 @@ class TestComputeRunStats:
         for k in range(94):
             uncles = (stales[k].block_id,) if k < 5 else ()
             cur = extend(tree, cur, difficulty=131072, ts=(k + 1) * 3, uncle_ids=uncles)
-        got = compute_run_stats(tree, cur.block_id, duration=300.0, warmup=0)
+        got = compute_run_stats(tree, cur.block_id, warmup=0, generated_tx=0)
         assert got.canonical_blocks == 95
         assert got.included_uncles == 5
         assert got.uncle_rate == pytest.approx(0.05)
@@ -81,32 +81,41 @@ class TestComputeRunStats:
         tree, head = linear_chain(10)
         genesis = tree.block(tree.genesis_id)
         extend(tree, genesis, difficulty=131073, miner=2, ts=555)  # never referenced
-        got = compute_run_stats(tree, head, duration=30.0, warmup=0)
+        got = compute_run_stats(tree, head, warmup=0, generated_tx=270)
         assert got.orphaned_blocks == 1
 
     def test_single_block_chain_too_short(self):
         genesis = make_genesis(131072)
         tree = BlockTree(genesis)
         with pytest.raises(ChainTooShort):
-            compute_run_stats(tree, genesis.block_id, duration=10.0, warmup=0)
+            compute_run_stats(tree, genesis.block_id, warmup=0, generated_tx=0)
 
     def test_warmup_must_leave_two_blocks(self):
+        # a warm-up of 4 on a 5-block chain is clamped to 3: two blocks measured
         tree, head = linear_chain(5)
-        with pytest.raises(ChainTooShort):
-            compute_run_stats(tree, head, duration=15.0, warmup=4)
-        got = compute_run_stats(tree, head, duration=15.0, warmup=3)
+        got = compute_run_stats(tree, head, warmup=4, generated_tx=120)
+        assert got == compute_run_stats(tree, head, warmup=3, generated_tx=120)
         assert got.canonical_blocks == 2
         assert got.warmup_blocks_discarded == 3
 
     def test_warmup_shifts_measurement_window(self):
         tree, head = linear_chain(11)
-        got = compute_run_stats(tree, head, duration=30.0, warmup=5)
+        got = compute_run_stats(tree, head, warmup=5, generated_tx=300)
         # segment is blocks 5..10 (timestamps 15..30): 5 intervals of 3 s and
         # six blocks' worth of transactions
         assert got.mean_block_interval == pytest.approx(3.0)
         assert got.canonical_blocks == 6
         assert got.confirmed_tx == 6 * 30
         assert got.throughput == pytest.approx(180 / 15)
+
+    def test_partition_covers_the_whole_chain(self):
+        # the warm-up's 120 transactions are confirmed but not measured
+        tree, head = linear_chain(11)
+        got = compute_run_stats(tree, head, warmup=5, generated_tx=350)
+        assert got.confirmed_tx == 180
+        assert got.confirmed_tx_total == 300
+        assert got.pending_tx == 50
+        assert got.uncle_only_tx == 0
 
 
 class TestAggregateRuns:

@@ -7,14 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridchain import netsim
 from gridchain.chain import BlockTree, Transaction, make_block, make_genesis
 from gridchain.consensus import MIN_DIFFICULTY, fork_choice_head, validate_header
 from gridchain.contract import CallKind, ContractCall, dump_state, replay_chain
-from gridchain.metrics import ChainTooShort
+from gridchain.metrics import ChainTooShort, compute_run_stats
 from gridchain.netsim import (
     InvalidConfig,
     NodeState,
@@ -511,6 +511,35 @@ class TestRunSimulation:
         config = SimConfig(lambda_=3, sim_duration=600.0, warmup_blocks=50, seed=11)
         result = run_simulation(config, 0)
         assert 2.0 <= result.stats.mean_block_interval <= 6.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lambda_=st.integers(1, 12),
+        num_nodes=st.integers(1, 4),
+        delay=st.floats(0.0, 2.0),
+        tx_rate=st.floats(0.0, 100.0),
+        duration=st.floats(5.0, 400.0),
+        warmup=st.integers(0, 150),
+        seed=st.integers(0, 2**16),
+    )
+    # 90 s at threshold 2 mines fewer than 102 canonical blocks: the warm-up clamps.
+    @example(lambda_=2, num_nodes=3, delay=0.25, tx_rate=100.0, duration=90.0, warmup=100,
+             seed=1)
+    def test_stats_are_compute_run_stats_of_the_final_chain(
+            self, lambda_, num_nodes, delay, tx_rate, duration, warmup, seed):
+        config = SimConfig(lambda_=lambda_, num_nodes=num_nodes, propagation_delay=delay,
+                           tx_rate=tx_rate, sim_duration=duration, warmup_blocks=warmup,
+                           seed=seed)
+        sim = Simulation(config, 0)
+        try:
+            r = sim.run()
+        except ChainTooShort:
+            assert len(sim.tree.canonical_chain(sim.nodes[0].head_block.block_id)) < 2
+            return
+        assert compute_run_stats(r.tree, r.head, config.warmup_blocks, r.table.count) == r.stats
+        chain_length = len(r.canonical_blocks())
+        assert r.stats.warmup_blocks_discarded == min(warmup, chain_length - 2)
+        assert r.stats.canonical_blocks == chain_length - r.stats.warmup_blocks_discarded
 
 
 class TestEndOfRun:
