@@ -1,11 +1,13 @@
 """Experiment runner: single runs, threshold sweeps, a public-network
 comparison point (a single run at a preset), and the end-to-end
-meter-to-chain demo.
+meter-to-chain demo. The first three write one CSV table through one loop,
+``run_table``: a row per threshold of a sweep, else one row.
 
-Configuration comes from defaults, then an optional flat ``key=value`` file,
-then command-line flags (flags win); ``OPTIONS`` lists every setting once.
-CSV output follows the schema in :mod:`gridchain.metrics`; progress goes to
-standard error.
+Configuration comes from the defaults of ``SimConfig`` and
+``ExperimentSpec``, then an optional flat ``key=value`` file, then
+command-line flags (flags win); ``OPTIONS`` lists every setting once and
+names the field of either dataclass it fills. CSV output follows the schema
+in :mod:`gridchain.metrics`; progress goes to standard error.
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 """
@@ -17,7 +19,7 @@ import dataclasses
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .chain import Transaction
@@ -34,7 +36,7 @@ from .meter import (
     simulate_meter_stream,
     unpack_record_fields,
 )
-from .metrics import ChainTooShort, RunStats, SweepPoint, aggregate_runs, write_sweep_csv
+from .metrics import ChainTooShort, RunStats, aggregate_runs, write_sweep_csv
 from .netsim import InvalidConfig, SimConfig, run_many, run_simulation
 
 EXIT_OK = 0
@@ -64,9 +66,9 @@ class ConfigFileError(ValueError):
 
 @dataclass
 class ExperimentSpec:
-    mode: str
-    config: SimConfig
-    sweep_lambdas: list[int]
+    mode: str = "single"
+    config: SimConfig = field(default_factory=SimConfig)
+    sweep_lambdas: list[int] = field(default_factory=list)
     output_path: str | None = None
     trace: bool = False
     workers: int = 1
@@ -110,11 +112,12 @@ def boolean(text: str) -> bool:
 
 # Every option, as ``--name-with-dashes`` on the command line and as
 # ``name`` (dashes or underscores) in the config file:
-# name -> (parser, SimConfig field or None, help).
+# name -> (parser, field it sets, help). One table fills both dataclasses:
+# the field is a SimConfig field, or else an ExperimentSpec field.
 OPTIONS = {
-    "mode": (str, None, f"one of {', '.join(MODES)} (default single)"),
+    "mode": (str, "mode", f"one of {', '.join(MODES)} (default single)"),
     "lambda": (int, "lambda_", "difficulty threshold in seconds"),
-    "sweep": (int_list, None, "comma-separated thresholds for sweep mode"),
+    "sweep": (int_list, "sweep_lambdas", "comma-separated thresholds for sweep mode"),
     "nodes": (int, "num_nodes", "number of miners"),
     "hash_shares": (float_list, "hash_shares", "comma-separated per-node hashrate fractions"),
     "delay": (float, "propagation_delay", "propagation delay in seconds, blocks and transactions"),
@@ -124,15 +127,16 @@ OPTIONS = {
     "duration": (float, "sim_duration", "simulated seconds per run"),
     "runs": (int, "num_runs", "independent runs per threshold"),
     "seed": (int, "seed", "base seed; run i draws from (seed, i)"),
-    "out": (str, None, "output file"),
-    "trace": (boolean, None, "single, mainnet-compare: write per-run traces beside the output"),
+    "out": (str, "output_path", "output file"),
+    "trace": (boolean, "trace", "single, mainnet-compare: write per-run traces beside the output"),
     "total_hashrate": (float, "total_hashrate", "difficulty solved per second, all miners"),
     "warmup_blocks": (int, "warmup_blocks", "canonical blocks left out of the statistics"),
     "initial_difficulty": (int, "initial_difficulty",
                            "genesis difficulty (default: the equilibrium estimate)"),
-    "workers": (int, None, "parallel runs; the output does not depend on it"),
-    "meter_interval": (int, None, "e2e-demo: seconds between meter readings"),
-    "meter_file": (str, None, "e2e-demo: input stream, device_id,unix_time,kwh per line"),
+    "workers": (int, "workers", "parallel runs; the output does not depend on it"),
+    "meter_interval": (int, "meter_interval_s", "e2e-demo: seconds between meter readings"),
+    "meter_file": (str, "meter_stream_file",
+                   "e2e-demo: input stream, device_id,unix_time,kwh per line"),
 }
 
 
@@ -185,22 +189,16 @@ def parse_config(argv: list[str] | None = None) -> ExperimentSpec:
     path = args.pop("config")
     values = read_config_file(path) if path is not None else {}
     values.update((name, value) for name, value in args.items() if value is not None)
-    mode = values.get("mode", "single")
-    fixed = [name for name in values if OPTIONS[name][1] in MAINNET_PRESET]
-    if mode == "mainnet-compare" and fixed:
-        raise InvalidConfig(f"mainnet-compare runs at its own preset; remove {', '.join(fixed)}")
-    return ExperimentSpec(
-        mode=mode,
-        config=SimConfig(**{
-            OPTIONS[name][1]: value for name, value in values.items() if OPTIONS[name][1]
-        }),
-        sweep_lambdas=values.get("sweep", []),
-        output_path=values.get("out"),
-        trace=values.get("trace", False),
-        workers=values.get("workers", 1),
-        meter_interval_s=values.get("meter_interval", 5),
-        meter_stream_file=values.get("meter_file"),
+    targets = {OPTIONS[name][1]: value for name, value in values.items()}
+    spec_fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    spec = ExperimentSpec(
+        config=SimConfig(**{k: v for k, v in targets.items() if k not in spec_fields}),
+        **{k: v for k, v in targets.items() if k in spec_fields},
     )
+    fixed = [name for name in values if OPTIONS[name][1] in MAINNET_PRESET]
+    if spec.mode == "mainnet-compare" and fixed:
+        raise InvalidConfig(f"mainnet-compare runs at its own preset; remove {', '.join(fixed)}")
+    return spec
 
 
 def _resolve_output(spec: ExperimentSpec) -> Path | None:
@@ -228,53 +226,36 @@ def _note_clamped_warmup(stats: list[RunStats], warmup: int, label: str) -> None
         )
 
 
-def _aggregate(stats: list[RunStats], config: SimConfig) -> SweepPoint:
-    """One CSV row from the runs of ``config``, reported as progress."""
-    lam = config.lambda_
-    point = aggregate_runs(stats, lambda_=lam)
-    _progress(
-        f"lambda={lam}: interval {point.mean('mean_block_interval'):.3f} s, "
-        f"throughput {point.mean('throughput'):.2f} tx/s, "
-        f"uncle rate {point.mean('uncle_rate') * 100:.2f}% "
-        f"({point.runs} runs)"
-    )
-    _note_clamped_warmup(stats, config.warmup_blocks, f"lambda={lam}")
-    return point
-
-
-def _write_csv(out: Path, points: list[SweepPoint]) -> Path:
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        write_sweep_csv(points, fh)
-    _progress(f"wrote {out}")
-    return out
-
-
-def run_sweep(spec: ExperimentSpec) -> Path:
-    """One CSV row per threshold in ``spec.sweep_lambdas``."""
-    configs = [dataclasses.replace(spec.config, lambda_=int(lam))
-               for lam in spec.sweep_lambdas]
-    points = [_aggregate(run_many(config, workers=spec.workers), config) for config in configs]
-    return _write_csv(_resolve_output(spec), points)
-
-
-def run_single(spec: ExperimentSpec) -> Path:
-    """One CSV row at the configured threshold, or at ``MAINNET_PRESET``
-    with the public-network reference printed beside it. With ``trace``,
-    each run writes its event trace next to the output, and the statistics
-    come from those same runs."""
+def run_table(spec: ExperimentSpec) -> Path:
+    """The CSV of single, mainnet-compare and sweep: one row per threshold
+    in ``spec.sweep_lambdas``, else one row at the configured threshold, or
+    at ``MAINNET_PRESET`` with the public-network reference printed after
+    it. With ``trace``, each run writes its event trace next to the output
+    and runs serially, and the statistics come from those same runs."""
     mainnet = spec.mode == "mainnet-compare"
-    config = dataclasses.replace(spec.config, **MAINNET_PRESET) if mainnet else spec.config
+    base = dataclasses.replace(spec.config, **MAINNET_PRESET) if mainnet else spec.config
     out = _resolve_output(spec)
-    if spec.trace:
-        stats = []
-        for idx in range(config.num_runs):
-            trace_file = out.parent / f"trace_run{idx}.csv"
-            with open(trace_file, "w", encoding="utf-8", newline="\n") as fh:
-                stats.append(run_simulation(config, idx, trace=fh).stats)
-        _progress(f"wrote {config.num_runs} trace files to {out.parent}")
-    else:
-        stats = run_many(config, workers=spec.workers)
-    point = _aggregate(stats, config)
+    points = []
+    for lam in spec.sweep_lambdas or [base.lambda_]:
+        config = dataclasses.replace(base, lambda_=lam)
+        if spec.trace:
+            stats = []
+            for idx in range(config.num_runs):
+                trace_file = out.parent / f"trace_run{idx}.csv"
+                with open(trace_file, "w", encoding="utf-8", newline="\n") as fh:
+                    stats.append(run_simulation(config, idx, trace=fh).stats)
+            _progress(f"wrote {config.num_runs} trace files to {out.parent}")
+        else:
+            stats = run_many(config, workers=spec.workers)
+        point = aggregate_runs(stats, lambda_=lam)
+        _progress(
+            f"lambda={lam}: interval {point.mean('mean_block_interval'):.3f} s, "
+            f"throughput {point.mean('throughput'):.2f} tx/s, "
+            f"uncle rate {point.mean('uncle_rate') * 100:.2f}% "
+            f"({point.runs} runs)"
+        )
+        _note_clamped_warmup(stats, config.warmup_blocks, f"lambda={lam}")
+        points.append(point)
     if mainnet:
         print(
             "public-network reference: "
@@ -283,7 +264,10 @@ def run_single(spec: ExperimentSpec) -> Path:
             f"{point.mean('uncle_rate') * 100:.2f}% uncles "
             f"(interval {point.mean('mean_block_interval'):.2f} s)"
         )
-    return _write_csv(out, [point])
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        write_sweep_csv(points, fh)
+    _progress(f"wrote {out}")
+    return out
 
 
 @dataclass
@@ -405,10 +389,10 @@ def main(argv: list[str] | None = None) -> int:
         out = _resolve_output(spec)
         if out is not None and not out.parent.is_dir():
             raise InvalidConfig(f"output directory {out.parent} does not exist")
-        if spec.mode == "sweep":
-            run_sweep(spec)
-        elif spec.mode != "e2e-demo":
-            run_single(spec)
+        if out is not None and out.is_dir():
+            raise InvalidConfig(f"output {out} is a directory")
+        if spec.mode != "e2e-demo":
+            run_table(spec)
         else:
             report = run_e2e_demo(spec)
             for line in report.lines():

@@ -98,8 +98,10 @@ def compute_run_stats(tree: BlockTree, head: str, warmup: int, generated_tx: int
     partition covers the whole chain: ``confirmed_tx_total`` counts its
     transactions and every other generated id is pending, so
     ``uncle_only_tx`` is 0. A chain of fewer than two blocks has no interval
-    and raises ChainTooShort.
+    and raises ChainTooShort; a negative ``warmup`` raises ValueError.
     """
+    if warmup < 0:
+        raise ValueError(f"warm-up must be non-negative, got {warmup}")
     chain = tree.canonical_chain(head)
     if len(chain) < 2:
         raise ChainTooShort("need at least two post-warm-up blocks for an interval")

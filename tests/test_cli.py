@@ -106,10 +106,13 @@ class TestParseConfig:
             assert flag in option_strings
 
     def test_options_set_every_config_field_once(self):
-        targets = [field for _, field, _ in cli.OPTIONS.values() if field is not None]
         fields = {f.name for f in dataclasses.fields(SimConfig)}
+        targets = [field for _, field, _ in cli.OPTIONS.values() if field in fields]
         assert len(targets) == len(set(targets))
         assert set(targets) == fields
+        spec_fields = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"config"}
+        spec_targets = [field for _, field, _ in cli.OPTIONS.values() if field not in fields]
+        assert sorted(spec_targets) == sorted(spec_fields)
 
 
 # For every option that sets a SimConfig field, a value that moves a short
@@ -133,7 +136,10 @@ KNOB_VALUES = {
 SHORT_RUN = ["--duration", "120", "--warmup-blocks", "5", "--runs", "1"]
 
 
-@pytest.mark.parametrize("name", [name for name, option in cli.OPTIONS.items() if option[1]])
+@pytest.mark.parametrize("name", [
+    name for name, option in cli.OPTIONS.items()
+    if option[1] in {f.name for f in dataclasses.fields(SimConfig)}
+])
 def test_every_config_knob_reaches_the_output(name):
     assert name in KNOB_VALUES, f"no value for option {name!r}"
     flag = "--" + name.replace("_", "-")
@@ -244,6 +250,26 @@ class TestMainExitCodes:
         runs.assert_not_called()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--trace"],
+        ["--mode", "sweep", "--sweep", "1,2"],
+        ["--mode", "mainnet-compare"],
+        ["--mode", "e2e-demo"],
+    ])
+    def test_output_that_is_a_directory_is_config_error_before_the_first_run(
+            self, tmp_path, monkeypatch, capsys, flags):
+        monkeypatch.chdir(tmp_path)
+        with mock.patch.object(Simulation, "run", autospec=True,
+                               side_effect=Simulation.run) as runs:
+            code = main(flags + ["--out", ".", "--duration", "60", "--runs", "2"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "output . is a directory" in err
+        assert "lambda=" not in err
+        runs.assert_not_called()
+        assert list(tmp_path.iterdir()) == []
+
     def test_demo_without_out_ignores_the_output_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("GRIDCHAIN_OUT_DIR", str(tmp_path / "no-such-dir"))
@@ -331,6 +357,18 @@ class TestSweepCli:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(out1)]) == EXIT_OK
         assert main(args + ["--out", str(out2)]) == EXIT_OK
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("one_row, other", [
+        (["--mode", "single", "--lambda", "2"], ["--mode", "sweep", "--sweep", "2"]),
+        (["--mode", "mainnet-compare"],
+         ["--mode", "single", "--lambda", "9", "--nodes", "3", "--delay", "12.6"]),
+    ])
+    def test_one_row_modes_write_the_sweep_table(self, tmp_path, one_row, other):
+        args = ["--duration", "200", "--runs", "2", "--seed", "4"]
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(one_row + args + ["--out", str(out1)]) == EXIT_OK
+        assert main(other + args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):

@@ -98,6 +98,13 @@ class TestComputeRunStats:
         assert got.canonical_blocks == 2
         assert got.warmup_blocks_discarded == 3
 
+    def test_negative_warmup_is_refused(self):
+        # runs never pass one (SimConfig.validate refuses it); a direct call
+        # would otherwise measure a window taken from the chain's tail
+        tree, head = linear_chain(5)
+        with pytest.raises(ValueError, match="got -3"):
+            compute_run_stats(tree, head, warmup=-3, generated_tx=120)
+
     def test_warmup_shifts_measurement_window(self):
         tree, head = linear_chain(11)
         got = compute_run_stats(tree, head, warmup=5, generated_tx=300)
