@@ -84,14 +84,15 @@ class BlockHeader:
 
 @dataclass(frozen=True, slots=True)
 class Block:
-    """A header over its transaction ids. ``transactions`` holds those of
-    the ids that exist as objects, in block order: all of them for a
-    ``make_block`` block, and only the injected ones for a simulator block,
-    whose generated load is ids and gas alone."""
+    """A header over its transaction ids, stored once in ``tx_ids``: a
+    ``range`` when assembled from one, a tuple otherwise. ``transactions``
+    holds those of the ids that exist as objects, in block order: all of
+    them for a ``make_block`` block, and only the injected ones for a
+    simulator block, whose generated load is ids and gas alone."""
 
     header: BlockHeader
     transactions: tuple[Transaction, ...]
-    tx_ids: tuple[int, ...]
+    tx_ids: range | tuple[int, ...]
 
     @property
     def block_id(self) -> str:
@@ -160,13 +161,15 @@ def assemble_block(
 ) -> Block:
     """The block constructor: the header, whose id digests its contents and
     ``tx_ids``, over ``transactions`` (those of ``tx_ids`` that exist as
-    objects). ``tx_ids`` is kept as a tuple; a ``range`` of consecutive ids
-    is digested without formatting each one."""
+    objects). A ``range`` is kept and digested without formatting each id;
+    other ``tx_ids`` become a tuple. Either gives the same block id, but
+    the two blocks are not ``==``: a range is not a tuple."""
     uncle_ids = tuple(uncle_ids)
     block_id = header_digest(number, parent_id, miner, difficulty, timestamp, uncle_ids, tx_ids)
     header = BlockHeader(block_id, number, parent_id, miner, difficulty, timestamp, uncle_ids,
                          gas_used)
-    return Block(header=header, transactions=transactions, tx_ids=tuple(tx_ids))
+    return Block(header=header, transactions=transactions,
+                 tx_ids=tx_ids if type(tx_ids) is range else tuple(tx_ids))
 
 
 def make_block(

@@ -91,7 +91,9 @@ class ExperimentSpec:
         if self.meter_interval_s < 1:
             raise InvalidConfig("meter interval must be >= 1 second")
         self.config.validate()
-        for lam in self.sweep_lambdas:
+        for k, lam in enumerate(self.sweep_lambdas):
+            if lam in self.sweep_lambdas[:k]:
+                raise InvalidConfig(f"--sweep repeats threshold {lam}")
             dataclasses.replace(self.config, lambda_=lam).validate()
 
 

@@ -323,9 +323,9 @@ class NodeState:
     shared ``TxTable``, and keeps no per-transaction objects:
 
     * ``in_chain`` holds one flag per id, set while the id is on the node's
-      canonical chain. Mining a block and reorganising flip a block's ids
-      with one array assignment: a slice for a block whose ids form one
-      range, an index array otherwise.
+      canonical chain. Mining a block and reorganising flip the block's own
+      ``tx_ids`` with one array assignment: by slice for a ``range``, through
+      one index array for a tuple.
     * ``delivered`` holds one flag per id, set once the id has reached the
       node, at one byte per arrival: the node's own ids are set from the
       start, and ``catch_up`` sets every id below ``cut_all`` (arrived at
@@ -377,18 +377,16 @@ class NodeState:
             self.cut_all = cut_all
         self.cut_own = max(self.cut_own, int(times.searchsorted(now, "right")))
 
-    def set_in_chain(self, tx_ids: slice | np.ndarray | Sequence[int], flag: bool) -> None:
-        """Flag ``tx_ids`` as on (true) or off (false) the node's canonical
-        chain: ascending ids, or a ``slice(start, stop)`` with both bounds
-        given and step 1."""
-        self.in_chain[tx_ids] = flag
-        if flag:
-            return
-        if type(tx_ids) is slice:
-            if tx_ids.start < tx_ids.stop:
-                self.low = min(self.low, tx_ids.start)
-        elif len(tx_ids):
-            self.low = min(self.low, int(tx_ids[0]))
+    def set_in_chain(self, tx_ids: range | tuple[int, ...], flag: bool) -> None:
+        """Flag a block's ``tx_ids`` (ascending) as on (true) or off (false)
+        the node's canonical chain: a ``range`` of step 1 by slice, a tuple
+        through one index array."""
+        if type(tx_ids) is range:
+            self.in_chain[tx_ids.start:tx_ids.stop] = flag
+        else:
+            self.in_chain[np.fromiter(tx_ids, np.intp, len(tx_ids))] = flag
+        if not flag and tx_ids:
+            self.low = min(self.low, tx_ids[0])
 
     def fill(self, unit: int, gas_limit: int) -> tuple[np.ndarray, int]:
         """Available ids in arrival order, as one ``intp`` array, as many
@@ -471,9 +469,6 @@ class Simulation:
         # Per sender: every other node, in index order.
         self.peers = [tuple(j for j in range(config.num_nodes) if j != i)
                       for i in range(config.num_nodes)]
-        # Block id -> the block's transaction ids for ``set_in_chain``: a
-        # slice when they form one range, an index array otherwise.
-        self.tx_arrays: dict[str, slice | np.ndarray] = {}
         # Injected ids in ascending order, for the range lookup per block.
         self.injected_ids = sorted(self.table.injected)
         # Unused standard exponentials for ``_solve_time``, last one next.
@@ -560,22 +555,18 @@ class Simulation:
         node.catch_up(now, self.config.propagation_delay)
         id_array, gas_used = node.fill(self.config.mean_tx_gas, self.config.block_gas_limit)
         # ``fill`` gives ascending unique ids, so they form one range exactly
-        # when their span equals their count; a range is digested without
-        # formatting each id, and its flags are flipped by slice.
+        # when their span equals their count; the block keeps the range, the
+        # one store of its ids, which ``_reorg`` flips by slice.
         n = len(id_array)
         if n and int(id_array[-1]) - int(id_array[0]) + 1 == n:
-            first = int(id_array[0])
-            tx_ids = range(first, first + n)
-            claim = slice(first, first + n)
+            tx_ids = range(int(id_array[0]), int(id_array[-1]) + 1)
         else:
             tx_ids = tuple(id_array.tolist())
-            claim = id_array
         block = assemble_block(parent.number + 1, parent.block_id, node.index, difficulty,
                                timestamp, uncles, tx_ids, gas_used, self._injected_in(tx_ids))
         if not validate_header(self.params, tree, block.header):
             # Simulator nodes are honest; a failure here is a bug.
             raise AssertionError(f"invalid header mined: {block.block_id}")
-        self.tx_arrays[block.block_id] = claim
         tree.insert_block(block)
         node.known.add(block.block_id)
         self._reorg(node, block, now)
@@ -631,21 +622,21 @@ class Simulation:
         """Move the node's head to ``new_head``, a block it mined, received
         or settles on: the one place a head moves. One walk to their common
         ancestor steps the higher tip (the new one on a tie): an abandoned
-        block returns its transactions to the pool as the walk leaves it,
-        and the adopted blocks claim theirs after the walk, where no clear
-        can undo a claim. Mining restarts on the new head."""
-        blocks, tx_arrays = self.tree.blocks, self.tx_arrays
+        block returns its ``tx_ids`` to the pool as the walk leaves it, and
+        the adopted blocks claim theirs after the walk, where no clear can
+        undo a claim. Mining restarts on the new head."""
+        blocks = self.tree.blocks
         old, new = node.head_block.header, new_head.header
         added: list[str] = []
         while old.block_id != new.block_id:
             if old.number > new.number:
-                node.set_in_chain(tx_arrays[old.block_id], False)
+                node.set_in_chain(blocks[old.block_id].tx_ids, False)
                 old = blocks[old.parent_id].header
             else:
                 added.append(new.block_id)
                 new = blocks[new.parent_id].header
         for bid in added:
-            node.set_in_chain(tx_arrays[bid], True)
+            node.set_in_chain(blocks[bid].tx_ids, True)
         node.head_block = new_head
         self._schedule_mining(node, now)
 

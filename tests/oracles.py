@@ -290,9 +290,9 @@ class HeapMiningSimulation(Simulation):
             added.append(new.block_id)
             new = blocks[new.parent_id].header
         for bid in removed:
-            node.set_in_chain(self.tx_arrays[bid], False)
+            node.set_in_chain(blocks[bid].tx_ids, False)
         for bid in added:
-            node.set_in_chain(self.tx_arrays[bid], True)
+            node.set_in_chain(blocks[bid].tx_ids, True)
         node.head_block = new_head
         self._schedule_mining(node, now)
 

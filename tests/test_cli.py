@@ -205,6 +205,20 @@ class TestMainExitCodes:
         runs.assert_not_called()
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_repeated_sweep_threshold_is_refused_before_the_first_run(self, tmp_path,
+                                                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        runs = mock.Mock(wraps=run_many)
+        monkeypatch.setattr(cli, "run_many", runs)
+        code = main(["--mode", "sweep", "--sweep", "2,3,2", "--runs", "1", "--duration", "200",
+                     "--out", "s.csv"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--sweep repeats threshold 2" in err
+        assert "lambda=" not in err
+        runs.assert_not_called()
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags, reason", [
         (["--mode", "single", "--sweep", "1,2"], "--sweep applies to sweep mode, not single"),
         (["--mode", "mainnet-compare", "--sweep", "1,2"],

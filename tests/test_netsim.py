@@ -378,25 +378,25 @@ class TestPool:
         size=st.integers(0, 60),
         data=st.data(),
     )
-    def test_a_slice_flips_flags_as_its_index_array_does(self, size, data):
+    def test_a_range_flips_flags_as_its_tuple_does(self, size, data):
         table = TxTable(times=np.arange(size, dtype=np.float64),
                         origins=np.zeros(size, dtype=np.int64),
                         gas=np.broadcast_to(np.int64(45_000), (size,)), injected={})
         tree = BlockTree(make_genesis(MIN_DIFFICULTY))
-        by_slice, by_array = NodeState(0, tree, table), NodeState(0, tree, table)
+        by_range, by_tuple = NodeState(0, tree, table), NodeState(0, tree, table)
         flags = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
                          dtype=np.bool_)
         low = data.draw(st.integers(0, size))
-        for node in (by_slice, by_array):
+        for node in (by_range, by_tuple):
             node.in_chain[:] = flags
             node.low = low
         bound = st.integers(0, size)
         for a, b, flag in data.draw(st.lists(st.tuples(bound, bound, st.booleans()),
                                              min_size=1, max_size=6)):
-            by_slice.set_in_chain(slice(a, b), flag)
-            by_array.set_in_chain(np.arange(a, b), flag)
-            assert np.array_equal(by_slice.in_chain, by_array.in_chain)
-            assert by_slice.low == by_array.low
+            by_range.set_in_chain(range(a, b), flag)
+            by_tuple.set_in_chain(tuple(range(a, b)), flag)
+            assert np.array_equal(by_range.in_chain, by_tuple.in_chain)
+            assert by_range.low == by_tuple.low
 
 
 class TestEquilibriumCalibration:
@@ -1059,6 +1059,44 @@ class TestHeadersOnDrawnConfigs:
             assert b.header.gas_used <= config.block_gas_limit
 
 
+class TestBlockIds:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_nodes=st.integers(1, 6),
+        lambda_=st.integers(1, 12),
+        tx_rate=st.floats(0.0, 100.0),
+        delay=st.floats(0.0, 3.0),
+        records=st.lists(st.tuples(st.floats(0.0, 150.0), st.integers(0, 5)), max_size=30),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_block_keeps_a_range_or_a_tuple_and_flags_follow_the_chain(
+            self, num_nodes, lambda_, tx_rate, delay, records, seed):
+        config = SimConfig(lambda_=lambda_, num_nodes=num_nodes, tx_rate=tx_rate,
+                           propagation_delay=delay, sim_duration=150.0, warmup_blocks=0,
+                           seed=seed)
+        owner = addr("owner")
+        injected = [(t, origin % num_nodes, Transaction(0, owner, config.mean_tx_gas))
+                    for t, origin in records]
+        sim = Simulation(config, 0, injected)
+        try:
+            sim.run()
+        except ChainTooShort:  # the run is complete; only the stats failed
+            pass
+        for b in sim.tree.blocks.values():
+            ids = list(b.tx_ids)
+            consecutive = bool(ids) and ids == list(range(ids[0], ids[-1] + 1))
+            assert (type(b.tx_ids) is range) == consecutive
+            if not consecutive:
+                assert type(b.tx_ids) is tuple
+                assert all(type(i) is int for i in ids)
+                assert all(x < y for x, y in zip(ids, ids[1:]))
+        for node in sim.nodes:
+            expected = np.zeros(sim.table.count, dtype=np.bool_)
+            for b in sim.tree.canonical_chain(node.head_block.block_id):
+                expected[list(b.tx_ids)] = True
+            assert np.array_equal(node.in_chain, expected)
+
+
 class TestInjectedTransactions:
     def test_payload_rides_through_to_replay(self):
         owner = addr("owner")
@@ -1099,7 +1137,7 @@ class TestInjectedTransactions:
                               b.header.difficulty, b.header.timestamp,
                               [every_tx(i) for i in b.tx_ids], b.header.uncle_ids)
                    for b in chain]
-        assert [s.tx_ids for s in scanned] == [b.tx_ids for b in chain]
+        assert [s.tx_ids for s in scanned] == [tuple(b.tx_ids) for b in chain]
         assert sum(len(b.tx_ids) for b in chain) > len(table.injected)
         fast, full = replay_chain(chain), replay_chain(scanned)
         assert (fast.applied_calls, fast.failed_calls) == (2, 1)
@@ -1213,15 +1251,15 @@ class TestInjectedTransactions:
 
 
 class TestUniformGas:
-    """The gas column is one value as a zero-stride view, and a block's ids
-    are claimed by slice when they form one range."""
+    """The gas column is one value as a zero-stride view, and a block keeps
+    its ids as a range when they form one."""
 
-    @pytest.mark.parametrize("lambda_, records, claim", [
-        (1, 0, np.ndarray),  # blocks mostly take scattered ids
-        (3, 0, slice),       # a saturated pool: blocks mostly take one range
-        (3, 60, slice),
+    @pytest.mark.parametrize("lambda_, records, kind", [
+        (1, 0, tuple),  # blocks mostly take scattered ids
+        (3, 0, range),  # a saturated pool: blocks mostly take one range
+        (3, 60, range),
     ])
-    def test_blocks_claim_by_index_array_or_slice(self, lambda_, records, claim):
+    def test_blocks_keep_a_range_or_a_tuple(self, lambda_, records, kind):
         owner = addr("owner")
         injected = [(0.5 + 5.0 * k, k % 3, Transaction(0, owner, 45_000))
                     for k in range(records)]
@@ -1229,8 +1267,8 @@ class TestUniformGas:
         sim = Simulation(config, 0, injected)
         sim.run()
         assert sim.table.gas.strides == (0,)
-        kinds = [type(ids) for ids in sim.tx_arrays.values()]
-        assert kinds.count(claim) > len(kinds) / 2
+        kinds = [type(b.tx_ids) for b in sim.tree.blocks.values()]
+        assert kinds.count(kind) > len(kinds) / 2
         assert len(sim.table.injected) == records
 
     @settings(max_examples=60, deadline=None)
