@@ -204,24 +204,35 @@ def default_initial_difficulty(config: SimConfig) -> int:
 
 
 def _sample_arrival_times(rate: float, duration: float, rng: np.random.Generator) -> np.ndarray:
+    """Poisson arrival times over [0, duration): exponential gaps drawn
+    ``est`` at a time into one buffer that grows by a chunk per draw, each
+    chunk summed in place onto the last arrival before it. A standard
+    exponential times ``1 / rate`` is ``rng.exponential(1 / rate)`` bit for
+    bit, so the stream is that of one ``exponential`` call per chunk."""
     if rate <= 0:
         return np.empty(0, dtype=np.float64)
-    chunks = []
-    t = 0.0
+    scale = 1.0 / rate
     est = max(64, int(rate * duration * 0.25) + 64)
+    times = np.empty(0, dtype=np.float64)
+    t = 0.0
     while True:
-        gaps = rng.exponential(1.0 / rate, size=est)
-        # A tiny rate draws gaps near the float maximum; their sum may
-        # overflow to inf, which lies past the end as it should.
+        start = len(times)
+        times.resize(start + est, refcheck=False)
+        chunk = times[start:]
+        rng.standard_exponential(out=chunk)
+        # A tiny rate draws gaps near the float maximum; they and their sum
+        # may overflow to inf, which lies past the end as it should.
         with np.errstate(over="ignore"):
-            chunk = np.cumsum(gaps, out=gaps)
+            chunk *= scale
+            np.cumsum(chunk, out=chunk)
             chunk += t
-        if chunk[-1] >= duration:
-            chunks.append(chunk[chunk < duration])
-            break
-        chunks.append(chunk)
         t = float(chunk[-1])
-    return np.concatenate(chunks)
+        # The chunk is non-decreasing: the cut keeps the arrivals before the end.
+        end = start + int(chunk.searchsorted(duration, "left"))
+        del chunk  # no view of the buffer may outlive its next resize
+        if t >= duration:
+            times.resize(end, refcheck=False)
+            return times
 
 
 class TxTable:
@@ -231,8 +242,11 @@ class TxTable:
     re-numbered into arrival order and kept as objects in ``injected``,
     with their payloads.
 
-    Every id carries ``mean_tx_gas``, so ``gas`` is a read-only zero-stride
-    view of that one value.
+    ``build_tx_table`` draws ``times`` into one float64 buffer and stores
+    ``origins`` in ``np.min_scalar_type(num_nodes - 1)`` (one byte up to
+    256 nodes); an injected merge frees each generated column as soon as
+    its merged copy exists. Every id carries ``mean_tx_gas``, so ``gas`` is
+    a read-only zero-stride view of that one value.
     """
 
     def __init__(
@@ -263,13 +277,11 @@ def build_tx_table(
     must be a node and its time finite and non-negative; a time at or after
     the end leaves it pending. Its gas must be ``mean_tx_gas``.
     """
-    stat_times = _sample_arrival_times(config.tx_rate, config.sim_duration, rng)
-    n_stat = len(stat_times)
-    stat_origins = (
-        rng.integers(0, config.num_nodes, size=n_stat)
-        if n_stat
-        else np.empty(0, dtype=np.int64)
-    )
+    times = _sample_arrival_times(config.tx_rate, config.sim_duration, rng)
+    # Drawn at int32, the same 32-bit stream as an int64 draw, and stored
+    # in the narrowest type that holds every node index.
+    origins = rng.integers(0, config.num_nodes, size=len(times), dtype=np.int32).astype(
+        np.min_scalar_type(config.num_nodes - 1))
     if injected:
         nodes = range(config.num_nodes)
         for time, origin, tx in injected:
@@ -286,15 +298,15 @@ def build_tx_table(
         # One pass: injected transaction j comes after the at[j] generated
         # arrivals at or before its time and the j injected ones before it.
         inj_times = np.array([item[0] for item in inj], dtype=np.float64)
-        at = stat_times.searchsorted(inj_times, "right")
-        times = np.insert(stat_times, at, inj_times)
-        origins = np.insert(stat_origins, at, [item[1] for item in inj])
+        at = times.searchsorted(inj_times, "right")
+        # Each generated column is freed as soon as its merged copy exists.
+        times = np.insert(times, at, inj_times)
+        origins = np.insert(origins, at, [item[1] for item in inj])
         injected_map = {
             new: Transaction(new, tx.sender, tx.gas, tx.payload)
             for new, (_, _, tx) in zip((at + np.arange(len(inj))).tolist(), inj)
         }
     else:
-        times, origins = stat_times, stat_origins
         injected_map = {}
     # One stored value, read-only: nothing writes a table's gas column.
     gas = np.broadcast_to(np.int64(config.mean_tx_gas), times.shape)

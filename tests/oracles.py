@@ -1,17 +1,19 @@
 """Reference versions of the simulator's fast paths, kept as oracles for
 differential tests: the object-level transaction stream and block filling
-behind the id-level code in ``gridchain.netsim``, the per-candidate uncle
-selection behind the lineage-based one in ``gridchain.consensus``, and the
-per-receiver block delivery behind the simulator's one event per arrival
-time and one header check per block, one ``rng.exponential`` call per solve
-time behind the simulator's buffered stream, and the library's own AES-CTR
-mode, one cipher per field, behind the meter's one AES call per record,
-the tuple ``repr`` block id behind the digest of an id range, one
-stable ``argsort`` over generated and injected arrivals behind the linear
-merge of injected transactions, and one heap entry per mining draw with a
-full chain walk on every reorg behind the simulator's per-node mining
-timers and its one-block extension, and a one-line evaluation of the
-difficulty rule behind ``gridchain.consensus.compute_difficulty``.
+behind the id-level code in ``gridchain.netsim``, chunks of arrival gaps
+kept apart and concatenated behind its one growing arrival buffer, the
+per-candidate uncle selection behind the lineage-based one in
+``gridchain.consensus``, and the per-receiver block delivery behind the
+simulator's one event per arrival time and one header check per block, one
+``rng.exponential`` call per solve time behind the simulator's buffered
+stream, and the library's own AES-CTR mode, one cipher per field, behind
+the meter's one AES call per record, the tuple ``repr`` block id behind the
+digest of an id range, one stable ``argsort`` over generated and injected
+arrivals behind the linear merge of injected transactions, and one heap
+entry per mining draw with a full chain walk on every reorg behind the
+simulator's per-node mining timers and its one-block extension, and a
+one-line evaluation of the difficulty rule behind
+``gridchain.consensus.compute_difficulty``.
 Also the readers and writers that only tests need: a node's delivered set
 and pool, and a meter stream file."""
 
@@ -48,6 +50,31 @@ def generate_tx_arrivals(
         yield float(table.times[i]), tx
 
 
+def sample_arrival_times_chunked(
+    rate: float, duration: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Poisson arrival times over [0, duration), one ``rng.exponential``
+    call per chunk, the chunks kept apart and concatenated at the end."""
+    if rate <= 0:
+        return np.empty(0, dtype=np.float64)
+    chunks = []
+    t = 0.0
+    est = max(64, int(rate * duration * 0.25) + 64)
+    while True:
+        gaps = rng.exponential(1.0 / rate, size=est)
+        # A tiny rate draws gaps near the float maximum; their sum may
+        # overflow to inf, which lies past the end as it should.
+        with np.errstate(over="ignore"):
+            chunk = np.cumsum(gaps, out=gaps)
+            chunk += t
+        if chunk[-1] >= duration:
+            chunks.append(chunk[chunk < duration])
+            break
+        chunks.append(chunk)
+        t = float(chunk[-1])
+    return np.concatenate(chunks)
+
+
 def build_tx_table_argsort(
     config: SimConfig,
     rng: np.random.Generator,
@@ -62,7 +89,7 @@ def build_tx_table_argsort(
     n_stat = table.count
     inj = sorted(injected, key=lambda item: item[0])
     inj_times = np.array([item[0] for item in inj], dtype=np.float64)
-    inj_origins = np.array([item[1] for item in inj], dtype=np.int64)
+    inj_origins = np.array([item[1] for item in inj], dtype=table.origins.dtype)
     inj_gas = np.array([item[2].gas for item in inj], dtype=np.int64)
     times = np.concatenate([table.times, inj_times])
     origins = np.concatenate([table.origins, inj_origins])

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -41,6 +42,7 @@ from oracles import (
     header_digest,
     node_address,
     pending_ids,
+    sample_arrival_times_chunked,
     sample_mining_time,
 )
 
@@ -192,6 +194,73 @@ class TestArrivals:
         config = SimConfig(tx_rate=rate, sim_duration=100.0)
         for seed in range(1, 6):
             assert build_tx_table(config, np.random.default_rng(seed)).count == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rate=st.sampled_from([0.0, 5e-324, 3e-308, 0.3, 4.0, 100.0]),
+        duration=st.one_of(st.sampled_from([0.0, 1.0, 1e-3]), st.floats(0.0, 300.0)),
+    )
+    @example(seed=1, rate=100.0, duration=3000.0)
+    def test_one_buffer_matches_chunked_oracle(self, seed, rate, duration):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = netsim._sample_arrival_times(rate, duration, rng)
+        want = sample_arrival_times_chunked(rate, duration, twin)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert rng.standard_exponential() == twin.standard_exponential()
+
+    @pytest.mark.parametrize("num_nodes", [1, 2, 3, 6, 256, 257])
+    def test_origins_narrow_and_equal_to_an_int64_draw(self, num_nodes):
+        config = SimConfig(num_nodes=num_nodes, tx_rate=50.0, sim_duration=40.0)
+        rng, twin = np.random.default_rng(num_nodes), np.random.default_rng(num_nodes)
+        table = build_tx_table(config, rng)
+        times = sample_arrival_times_chunked(config.tx_rate, config.sim_duration, twin)
+        want = twin.integers(0, num_nodes, size=len(times))
+        assert want.dtype == np.int64
+        assert table.origins.dtype == np.min_scalar_type(num_nodes - 1)
+        assert np.array_equal(table.origins, want)
+        assert rng.integers(0, 2**40) == twin.integers(0, 2**40)
+
+
+def demo_injected(config):
+    """The e2e demo's schedule of injected transactions: three control calls,
+    then three meters each sending one record every 5 s over 2980 s."""
+    sends = [(0.5, 0), (1.0, 0), (1.25, 0)]
+    sends += [(10.0 + 5 * r + 0.1 * m, (m + 1) % config.num_nodes)
+              for m in range(3) for r in range(596)]
+    return [(t, origin, tx(0)) for t, origin in sends]
+
+
+class TestTxTableMemory:
+    """The traced peak of building the demo's table, in units of the final
+    ``times`` column: one arrival buffer, one byte of origin per arrival,
+    and during the merge the two copies of ``times`` only. Arrival chunks
+    kept beside their concatenation (2.25x without injections), or that and
+    an int64 origin column (4.16x with them), push the peak past these
+    bounds."""
+
+    @staticmethod
+    def peak_over_times(config, injected):
+        # A small build first, so that lazy set-up inside numpy is not traced.
+        build_tx_table(small_config(tx_rate=5.0), np.random.default_rng(0), injected[:3])
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = build_tx_table(config, rng, injected)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return peak / table.times.nbytes
+
+    @pytest.mark.parametrize("with_injected,bound", [(False, 2.0), (True, 3.0)])
+    def test_peak_in_units_of_times(self, with_injected, bound):
+        config = SimConfig(lambda_=3, sim_duration=3000.0, seed=1)
+        injected = demo_injected(config)
+        assert len(injected) == 1791
+        assert self.peak_over_times(config, injected if with_injected else []) < bound
 
 
 class TestFillBlock:
